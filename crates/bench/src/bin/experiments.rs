@@ -54,13 +54,13 @@
 //!   `tso/sc_per_loc/4@0@0@2@panic`. Injected faults exercise the
 //!   retry/degrade ladder; `experiments speedup` reports the counters.
 //!
-//! `experiments speedup` runs the TSO bound sweep six ways — a
-//! per-query-recompile baseline, the eager incremental control, the lazy
-//! incremental engine, its `lazy-noshelve`/`lazy-nodomain` ablations, and
-//! the full portfolio — asserting all six suites are byte-identical and
-//! auditing the perf invariants: exactly one full circuit→CNF compilation
-//! per incremental sweep, nonzero reuse counters, lazy strictly cutting
-//! propagations vs. eager at bounds 3–5 (diffed against the committed
+//! `experiments speedup` runs the TSO bound sweep three ways — the
+//! library defaults, the `legacy-db` SAT-core ablation, and the
+//! multi-threaded cube portfolio — three times each, printing each
+//! phase's median wall time with min/max. It asserts all suites are
+//! byte-identical and audits the perf invariants: exactly one circuit→CNF
+//! compilation per query, the modern SAT core strictly cutting
+//! propagations vs. legacy-db at bound 5 (diffed against the committed
 //! `BENCH_baseline.json` with a tolerance), and — on a fault-free run —
 //! zero degraded workers. Results are also written to `BENCH_synth.json`
 //! for machine consumption (CI's perf-smoke).
@@ -186,13 +186,20 @@ fn cfg(n: usize, budget: u64) -> SynthConfig {
     c
 }
 
-/// One phase of the `speedup` experiment: a full `2..=bound` sweep plus
-/// the sweep's statistics and wall-clock.
+/// One phase of the `speedup` experiment: a full `2..=bound` sweep run a
+/// few times, with the first run's suite and statistics (deterministic)
+/// and every run's wall-clock, sorted.
 struct Phase {
     name: &'static str,
     union: litsynth_core::CanonicalSuite,
     stats: litsynth_core::SweepStats,
-    wall: std::time::Duration,
+    walls: Vec<std::time::Duration>,
+}
+
+impl Phase {
+    fn median(&self) -> std::time::Duration {
+        self.walls[self.walls.len() / 2]
+    }
 }
 
 /// Serializes a suite for byte-for-byte comparison across phases.
@@ -210,28 +217,23 @@ fn suite_digest(union: &litsynth_core::CanonicalSuite) -> String {
 fn phase_json(p: &Phase) -> String {
     let s = &p.stats;
     format!(
-        "{{\"wall_s\": {:.6}, \"compilations\": {}, \"extensions\": {}, \
-         \"reused_clauses\": {}, \"vault_published\": {}, \"vault_imported\": {}, \
-         \"vault_filtered\": {}, \"raw_instances\": {}, \"exchange_exported\": {}, \
+        "{{\"wall_s\": {:.6}, \"wall_min_s\": {:.6}, \"wall_max_s\": {:.6}, \
+         \"compilations\": {}, \"raw_instances\": {}, \"exchange_exported\": {}, \
          \"exchange_imported\": {}, \"propagations\": {}, \"decisions\": {}, \
-         \"domain_decisions\": {}, \"shelved_replayed\": {}, \
+         \"domain_decisions\": {}, \
          \"simplify_removed\": {}, \"subsumed\": {}, \"strengthened\": {}, \
          \"gc_runs\": {}, \"gc_reclaimed_words\": {}, \
          \"retries\": {}, \"degraded\": {}}}",
-        p.wall.as_secs_f64(),
+        p.median().as_secs_f64(),
+        p.walls[0].as_secs_f64(),
+        p.walls[p.walls.len() - 1].as_secs_f64(),
         s.compilations,
-        s.extensions,
-        s.reused_clauses,
-        s.vault.published,
-        s.vault.imported,
-        s.vault.filtered,
         s.raw_instances,
         s.exchange.0,
         s.exchange.1,
         s.propagations,
         s.decisions,
         s.domain_decisions,
-        s.shelved_replayed,
         s.simplify_removed,
         s.subsumed,
         s.strengthened,
@@ -255,288 +257,157 @@ fn json_f64(text: &str, key: &str) -> Option<f64> {
 }
 
 /// The perf acceptance experiment: the TSO union over bounds `2..=bound`,
-/// seven ways —
+/// three ways —
 ///
-/// 1. **baseline** — monolithic per-query compilation, vault off, 1 thread
-///    (every query re-runs the Tseitin transform from scratch);
-/// 2. **eager** — layered sweep compilation plus the cross-query clause
-///    vault, 1 thread, with every definitional layer watcher-attached up
-///    front (PR 4's behavior — the propagation-tax control);
-/// 3. **incremental** — the same, but with lazy definitional propagation
-///    and both of its fixes on: shelve-and-replay of dormant-cone imports
-///    and the two-level decision domain (still 1 thread);
-/// 4. **lazy-noshelve** — incremental with shelving ablated (dormant-cone
-///    imports dropped, the PR 5 behavior);
-/// 5. **lazy-nodomain** — incremental with the decision domain ablated
-///    (global VSIDS only, the PR 5 behavior);
-/// 6. **legacy-db** — incremental with the modernized SAT core ablated:
+/// 1. **default** — the library defaults on one thread: every (axiom,
+///    bound) query compiled once and solved on fresh solvers;
+/// 2. **legacy-db** — the same with the modernized SAT core ablated:
 ///    level-0 inprocessing off and single-activity learnt retention
-///    instead of LBD tiers (the pre-modernization solver on the same
-///    engine configuration);
-/// 7. **portfolio** — the full engine at `threads` threads with cube
+///    instead of LBD tiers;
+/// 3. **portfolio** — the defaults at `threads` threads with cube
 ///    splitting.
 ///
-/// All seven suites must be byte-identical; the incremental phases must
-/// compile in full exactly once per sweep and show nonzero reuse counters;
-/// lazy (with its fixes) must strictly reduce propagations vs. eager at
-/// bounds 3–5, and the modernized SAT core must strictly reduce
-/// propagations vs. legacy-db at bounds 3–5 (at other bounds the
-/// reductions are only reported — see the calibration notes at the
-/// assertions); both reductions are diffed against the committed
-/// `BENCH_baseline.json` with a tolerance. Results also go to
+/// Each phase runs three times; its wall time is reported as the median
+/// with min/max. All suites must be byte-identical, the default phase must
+/// compile exactly once per query, and at bound 5 the modern core must
+/// strictly cut propagations vs. legacy-db, by no less than the committed
+/// `BENCH_baseline.json` value minus its tolerance (at bounds 3–4 the
+/// reduction is only reported — see DESIGN.md §3c). Results also go to
 /// `BENCH_synth.json` (written atomically).
 fn speedup(bound: usize, threads: usize) {
+    const RUNS: usize = 3;
     let threads = resolve_threads(threads);
     let cube_bits = env_usize("LITSYNTH_CUBE_BITS", 2);
-    println!(
-        "\n## Incremental + parallel speedup — TSO union, bounds 2..={bound}, {threads} threads\n"
-    );
+    println!("\n## Sweep phases — TSO union, bounds 2..={bound}, {threads} threads\n");
     let tso = Tso::new();
 
-    struct Knobs {
-        incremental: bool,
-        vault: bool,
-        lazy: bool,
-        shelve: bool,
-        domain: bool,
-        inprocess: bool,
-        tiered: bool,
-        threads: usize,
-        cube_bits: usize,
-    }
-    let run = |name, k: Knobs| {
-        let t0 = std::time::Instant::now();
-        let (union, stats) =
-            litsynth_core::synthesize_union_up_to_with_stats(&tso, 2..=bound, |n| {
-                let mut c = SynthConfig::new(n);
-                c.threads = k.threads;
-                c.cube_bits = k.cube_bits;
-                c.incremental = k.incremental;
-                c.vault = k.vault;
-                c.lazy = k.lazy;
-                c.shelve = k.shelve;
-                c.domain = k.domain;
-                c.inprocess = k.inprocess;
-                c.tiered = k.tiered;
-                c.journal = litsynth_core::env_journal();
-                c
-            });
+    let run = |name, modern: bool, threads: usize, cube_bits: usize| {
+        let mut walls = Vec::with_capacity(RUNS);
+        let mut first: Option<(litsynth_core::CanonicalSuite, litsynth_core::SweepStats)> = None;
+        for _ in 0..RUNS {
+            let t0 = std::time::Instant::now();
+            let (union, stats) =
+                litsynth_core::synthesize_union_up_to_with_stats(&tso, 2..=bound, |n| {
+                    let mut c = SynthConfig::new(n);
+                    c.threads = threads;
+                    c.cube_bits = cube_bits;
+                    c.inprocess = modern;
+                    c.tiered = modern;
+                    c.journal = litsynth_core::env_journal();
+                    c
+                });
+            walls.push(t0.elapsed());
+            match &first {
+                None => first = Some((union, stats)),
+                Some((u, _)) => assert_eq!(
+                    suite_digest(&union),
+                    suite_digest(u),
+                    "{name}: suite changed between runs"
+                ),
+            }
+        }
+        walls.sort();
+        let (union, stats) = first.expect("at least one run");
         Phase {
             name,
             union,
             stats,
-            wall: t0.elapsed(),
+            walls,
         }
     };
-    let modern = |incremental, vault, lazy, shelve, domain, threads, cube_bits| Knobs {
-        incremental,
-        vault,
-        lazy,
-        shelve,
-        domain,
-        inprocess: true,
-        tiered: true,
-        threads,
-        cube_bits,
-    };
-    let baseline = run("baseline", modern(false, false, false, true, false, 1, 0));
-    let eager = run("eager", modern(true, true, false, true, false, 1, 0));
-    let incremental = run("incremental", modern(true, true, true, true, true, 1, 0));
-    let noshelve = run("lazy-noshelve", modern(true, true, true, false, true, 1, 0));
-    let nodomain = run("lazy-nodomain", modern(true, true, true, true, false, 1, 0));
-    let legacy_db = run(
-        "legacy-db",
-        Knobs {
-            inprocess: false,
-            tiered: false,
-            ..modern(true, true, true, true, true, 1, 0)
-        },
-    );
-    let portfolio = run(
-        "portfolio",
-        modern(true, true, true, true, true, threads, cube_bits),
-    );
-    let phases = [
-        &baseline,
-        &eager,
-        &incremental,
-        &noshelve,
-        &nodomain,
-        &legacy_db,
-        &portfolio,
-    ];
+    let default = run("default", true, 1, 0);
+    let legacy_db = run("legacy-db", false, 1, 0);
+    let portfolio = run("portfolio", true, threads, cube_bits);
+    let phases = [&default, &legacy_db, &portfolio];
 
-    // Byte-identical output is the precondition for comparing the modes at
-    // all — the layered arenas and the vault must only change speed.
-    let digest = suite_digest(&baseline.union);
+    // Byte-identical output is the precondition for comparing the phases
+    // at all — the SAT core and the portfolio must only change speed.
+    let digest = suite_digest(&default.union);
     for p in &phases[1..] {
         assert_eq!(
             suite_digest(&p.union),
             digest,
-            "{} suite diverged from baseline",
+            "{} suite diverged from default",
             p.name
         );
     }
-    // The exactly-once-per-sweep invariant: the whole incremental sweep
-    // performs one full circuit→CNF compilation (the shared skeleton's);
-    // everything else — later bounds, per-axiom queries — extends it.
+    // Every query compiles exactly once, however many cube workers attach
+    // (journal replays compile nothing).
     let num_queries = (bound - 1) * tso.axioms().len();
-    assert_eq!(
-        baseline.stats.compilations as usize, num_queries,
-        "baseline must compile once per query"
-    );
-    // Per participating bound the chain grows by a skeleton link and one
-    // definitional link per axiom; the very first link is the sweep's one
-    // full compilation, everything after extends.
-    let num_extensions = ((1 + tso.axioms().len()) * (bound - 1) - 1) as u64;
-    for p in &phases[1..] {
-        assert_eq!(
-            p.stats.compilations, 1,
-            "{}: an incremental sweep must compile in full exactly once",
-            p.name
-        );
-        assert!(
-            p.stats.extensions >= num_extensions && p.stats.reused_clauses > 0,
-            "{}: incremental reuse counters must be nonzero \
-             (extensions {}, reused {})",
-            p.name,
-            p.stats.extensions,
-            p.stats.reused_clauses
-        );
+    let deterministic = default.stats.raw_instances > 0 && legacy_db.stats.raw_instances > 0;
+    if deterministic {
+        for p in &phases {
+            assert_eq!(
+                p.stats.compilations as usize, num_queries,
+                "{}: every query must compile exactly once",
+                p.name
+            );
+        }
     }
 
     println!(
-        "suite: {} tests (byte-identical in all modes)",
-        baseline.union.len()
+        "suite: {} tests (byte-identical in all phases)",
+        default.union.len()
     );
     for p in &phases {
         println!(
-            "{:<12} {:>8.2}s  compiles {:<3} extensions {:<4} reused clauses {:<8} \
-             vault {}/{} published/imported",
+            "{:<10} median {:>7.3}s  (min {:.3}s, max {:.3}s, {RUNS} runs)  compiles {:<3} \
+             props {:<10} decisions {}",
             p.name,
-            p.wall.as_secs_f64(),
+            p.median().as_secs_f64(),
+            p.walls[0].as_secs_f64(),
+            p.walls[RUNS - 1].as_secs_f64(),
             p.stats.compilations,
-            p.stats.extensions,
-            p.stats.reused_clauses,
-            p.stats.vault.published,
-            p.stats.vault.imported,
+            p.stats.propagations,
+            p.stats.decisions,
         );
     }
-    // The lazy claim, calibrated to measurement: on one thread over the
-    // identical formula chain, dormant definitional cones strictly cut
-    // unit propagations at bounds 3–5. PR 5's laziness alone inverted at
-    // bound 5 (+25% propagations with the vault on): pooled solvers
-    // accumulate the union of their tasks' cones while dropped
-    // stale-cone vault imports cost more pruning than dormancy saves.
-    // The two fixes measured by the ablation phases — shelve-and-replay
-    // of dormant-cone imports and the cone-scoped two-level decision
-    // domain — recover the win, so the strict inequality now extends
-    // through bound 5. Bound 2's sweep is a single trivially small link
-    // where the few level-0 activation propagations are the whole story,
-    // so the comparison is noise there and only reported. The assertion
-    // compares the *deterministic* counters of the two single-threaded
-    // phases (propagations, never wall time — a loaded CI host cannot
-    // flake it), and both sides must have done real solver work: a
-    // journal replay does zero solver work in every phase, leaving
-    // nothing to compare. See DESIGN §3b for the measurement story.
-    let reduction_vs_eager =
-        |p: &Phase| 1.0 - p.stats.propagations as f64 / eager.stats.propagations.max(1) as f64;
-    let reduction = reduction_vs_eager(&incremental);
-    let deterministic = incremental.stats.raw_instances > 0 && eager.stats.raw_instances > 0;
-    if deterministic && (3..=5).contains(&bound) {
-        assert!(
-            incremental.stats.propagations < eager.stats.propagations,
-            "lazy propagation must beat eager through bound {bound}: {} !< {}",
-            incremental.stats.propagations,
-            eager.stats.propagations
-        );
-    }
-    println!(
-        "lazy: {} propagations vs {} eager ({:.1}% reduction), \
-         {} vs {} decisions",
-        incremental.stats.propagations,
-        eager.stats.propagations,
-        reduction * 100.0,
-        incremental.stats.decisions,
-        eager.stats.decisions,
-    );
-    println!(
-        "ablation: noshelve {:.1}% / nodomain {:.1}% / full {:.1}% propagation \
-         reduction vs eager",
-        reduction_vs_eager(&noshelve) * 100.0,
-        reduction_vs_eager(&nodomain) * 100.0,
-        reduction * 100.0,
-    );
-    // The SAT-core modernization claim: on the identical engine
-    // configuration, level-0 inprocessing + tiered retention strictly cut
-    // unit propagations vs. the legacy core at bounds 3–5 — pooled
-    // solvers shed retired tasks' blocking clauses and low-value learnts
-    // instead of propagating through them for the rest of the bound. Same
-    // calibration as the lazy assertion: deterministic single-threaded
-    // counters only, bound 2 is noise and only reported.
+    // The SAT-core claim, on deterministic single-threaded counters (never
+    // wall time — a loaded CI host cannot flake it): level-0 inprocessing
+    // plus tiered retention strictly cut unit propagations vs. the legacy
+    // core once the learnt database outgrows its budget, which a bound-5
+    // query does. At bounds 3–4 the legacy core is ahead by a fraction of
+    // a percent (DESIGN.md §3c), so those bounds are only reported.
     let modern_db_reduction =
-        1.0 - incremental.stats.propagations as f64 / legacy_db.stats.propagations.max(1) as f64;
+        1.0 - default.stats.propagations as f64 / legacy_db.stats.propagations.max(1) as f64;
     println!(
         "sat-core: {:.1}% propagation reduction vs legacy-db \
          ({} vs {} props, {} vs {} decisions; \
          {} simplify_removed, {} subsumed, {} strengthened, {} gc runs / {} words)",
         modern_db_reduction * 100.0,
-        incremental.stats.propagations,
+        default.stats.propagations,
         legacy_db.stats.propagations,
-        incremental.stats.decisions,
+        default.stats.decisions,
         legacy_db.stats.decisions,
-        incremental.stats.simplify_removed,
-        incremental.stats.subsumed,
-        incremental.stats.strengthened,
-        incremental.stats.gc_runs,
-        incremental.stats.gc_reclaimed_words,
+        default.stats.simplify_removed,
+        default.stats.subsumed,
+        default.stats.strengthened,
+        default.stats.gc_runs,
+        default.stats.gc_reclaimed_words,
     );
     if deterministic && (3..=5).contains(&bound) {
-        // At bounds 3–4 the learnt database never outgrows its budget and
-        // batch subsumption barely binds, so the modern core is designed
-        // to be propagation-neutral there (never worse); the retention
-        // win is structural only once pooled solvers accrete a full
-        // bound-5 sweep's database, and there it must be strict.
         assert!(
-            incremental.stats.propagations <= legacy_db.stats.propagations,
-            "modern SAT core must never lose to legacy-db through bound {bound}: {} > {}",
-            incremental.stats.propagations,
+            bound < 5 || default.stats.propagations < legacy_db.stats.propagations,
+            "modern SAT core must strictly beat legacy-db at bound {bound}: {} !< {}",
+            default.stats.propagations,
             legacy_db.stats.propagations
         );
         assert!(
-            bound < 5 || incremental.stats.propagations < legacy_db.stats.propagations,
-            "modern SAT core must strictly beat legacy-db through bound {bound}: {} !< {}",
-            incremental.stats.propagations,
-            legacy_db.stats.propagations
-        );
-        assert!(
-            incremental.stats.simplify_removed > 0 && incremental.stats.gc_runs > 0,
+            default.stats.subsumed + default.stats.strengthened > 0,
             "inprocessing must do visible work at bound {bound} \
-             (simplify_removed {}, gc_runs {})",
-            incremental.stats.simplify_removed,
-            incremental.stats.gc_runs
+             (subsumed {}, strengthened {})",
+            default.stats.subsumed,
+            default.stats.strengthened
         );
     }
-    // Regression gate against the committed baseline: the checked-in
-    // `BENCH_baseline.json` records the reduction this tree achieved per
-    // bound; a fresh deterministic run may not fall more than `tolerance`
-    // below it. (The perf-smoke grep alone only validates a run against
-    // itself.) Skipped when the file is absent — e.g. run from outside
-    // the repo root — or records nothing for this bound.
+    // Regression gate against the committed baseline: `BENCH_baseline.json`
+    // records the modern-vs-legacy reduction this tree achieved per bound;
+    // a fresh deterministic run may not fall more than `tolerance` below
+    // it. Skipped when the file is absent — e.g. run from outside the repo
+    // root — or records nothing for this bound.
     if deterministic {
         if let Ok(text) = std::fs::read_to_string("BENCH_baseline.json") {
             let tolerance = json_f64(&text, "tolerance").unwrap_or(0.05);
-            if let Some(expected) = json_f64(&text, &format!("bound_{bound}")) {
-                println!(
-                    "baseline diff: reduction {:.4} vs committed {:.4} (tolerance {:.3})",
-                    reduction, expected, tolerance
-                );
-                assert!(
-                    reduction >= expected - tolerance,
-                    "lazy_propagation_reduction regressed: {reduction:.4} < \
-                     committed {expected:.4} - tolerance {tolerance:.3} at bound {bound}"
-                );
-            }
             if let Some(expected) = json_f64(&text, &format!("modern_bound_{bound}")) {
                 println!(
                     "baseline diff: modern-db reduction {:.4} vs committed {:.4} \
@@ -551,29 +422,20 @@ fn speedup(bound: usize, threads: usize) {
             }
         }
     }
-    let ratio = |p: &Phase| baseline.wall.as_secs_f64() / p.wall.as_secs_f64().max(1e-9);
+    let ratio = |p: &Phase| default.median().as_secs_f64() / p.median().as_secs_f64().max(1e-9);
     println!(
-        "speedup: incremental {:.2}x, portfolio ({} threads, {} cubes/query) {:.2}x \
-         over the per-query-recompile baseline",
-        ratio(&incremental),
+        "speedup: legacy-db {:.2}x, portfolio ({} threads, {} cubes/query) {:.2}x \
+         over the default phase (medians)",
+        ratio(&legacy_db),
         threads,
         1usize << cube_bits,
         ratio(&portfolio),
     );
-    println!(
-        "compile-once: {num_queries} queries → {} baseline / {} incremental full \
-         CNF compilations",
-        baseline.stats.compilations, incremental.stats.compilations
-    );
     let (exported, imported, filtered) = portfolio.stats.exchange;
     println!("exchange: {exported} clauses exported, {imported} imported, {filtered} filtered");
-    // Cone-aware counters: shelved imports that replayed once their cone
-    // woke, and decisions the two-level domain served from the local cone.
-    let replayed: u64 = phases.iter().map(|p| p.stats.shelved_replayed).sum();
-    let domdecs: u64 = phases.iter().map(|p| p.stats.domain_decisions).sum();
-    println!("cone: {replayed} shelved imports replayed, {domdecs} domain decisions");
     // Resilience counters: retried attempts and degraded workers over all
-    // phases, plus faults injected via LITSYNTH_FAULT_PLAN (if any).
+    // phases (first run of each), plus faults injected via
+    // LITSYNTH_FAULT_PLAN (if any).
     let retries: u64 = phases.iter().map(|p| p.stats.retries).sum();
     let degraded: u64 = phases.iter().map(|p| p.stats.degraded).sum();
     let plan = litsynth_sat::FaultPlan::global();
@@ -594,29 +456,18 @@ fn speedup(bound: usize, threads: usize) {
         "{{\n  \"experiment\": \"speedup\",\n  \"model\": \"tso\",\n  \
          \"bounds\": [2, {bound}],\n  \"threads\": {threads},\n  \
          \"cube_bits\": {cube_bits},\n  \"suite_tests\": {},\n  \
-         \"byte_identical\": true,\n  \"phases\": {{\n    \"baseline\": {},\n    \
-         \"eager\": {},\n    \"incremental\": {},\n    \"lazy-noshelve\": {},\n    \
-         \"lazy-nodomain\": {},\n    \"legacy-db\": {},\n    \"portfolio\": {}\n  }},\n  \
-         \"speedup_incremental\": {:.4},\n  \"speedup_portfolio\": {:.4},\n  \
-         \"lazy_propagation_reduction\": {:.4},\n  \
-         \"lazy_noshelve_reduction\": {:.4},\n  \
-         \"lazy_nodomain_reduction\": {:.4},\n  \
+         \"byte_identical\": true,\n  \"phases\": {{\n    \"default\": {},\n    \
+         \"legacy-db\": {},\n    \"portfolio\": {}\n  }},\n  \
+         \"speedup_legacy_db\": {:.4},\n  \"speedup_portfolio\": {:.4},\n  \
          \"modern_db_reduction\": {:.4},\n  \
          \"resilience\": {{\"retries\": {retries}, \"degraded\": {degraded}, \
          \"injected_faults\": {injections}}}\n}}\n",
-        baseline.union.len(),
-        phase_json(&baseline),
-        phase_json(&eager),
-        phase_json(&incremental),
-        phase_json(&noshelve),
-        phase_json(&nodomain),
+        default.union.len(),
+        phase_json(&default),
         phase_json(&legacy_db),
         phase_json(&portfolio),
-        ratio(&incremental),
+        ratio(&legacy_db),
         ratio(&portfolio),
-        reduction,
-        reduction_vs_eager(&noshelve),
-        reduction_vs_eager(&nodomain),
         modern_db_reduction,
     );
     let path = std::path::Path::new("BENCH_synth.json");

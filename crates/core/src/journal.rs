@@ -650,11 +650,6 @@ mod tests {
         cfg.exchange_max_len = 5;
         cfg.adaptive_cubes = false;
         cfg.probe_conflicts = 9;
-        cfg.incremental = false;
-        cfg.vault = false;
-        cfg.lazy = false;
-        cfg.shelve = false;
-        cfg.domain = false;
         cfg.max_attempts = 7;
         cfg.retry_backoff_ms = 99;
         cfg.adaptive_engage = false;

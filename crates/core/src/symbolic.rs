@@ -65,6 +65,11 @@ impl std::fmt::Debug for ProgressSink {
 }
 
 /// Bounds and options for one synthesis query.
+///
+/// Every query is compiled on its own and solved on fresh solvers, in a
+/// sweep as much as alone (see `crate::synth`). Whether the solver
+/// branches on the query's roots first is decided by the model
+/// (`MemoryModel::roots_first`), not by an option here.
 #[derive(Clone, Debug)]
 pub struct SynthConfig {
     /// Exact number of events (instructions) in the synthesized tests.
@@ -107,40 +112,6 @@ pub struct SynthConfig {
     pub adaptive_cubes: bool,
     /// Conflict budget for the adaptive-cube probing run.
     pub probe_conflicts: u64,
-    /// Compile sweeps incrementally: one circuit arena per sweep, the
-    /// axiom-independent skeleton Tseitin-encoded exactly once per bound as
-    /// a chain of shared CNF layers, and each (axiom, bound) query derived
-    /// as a one-layer extension. Off, every query recompiles from scratch.
-    /// Suites are byte-identical either way.
-    pub incremental: bool,
-    /// Reuse skeleton-pure learnt clauses across the queries of a sweep
-    /// through the portfolio clause vault (requires [`SynthConfig::incremental`]
-    /// to have any effect — the vault keys on skeleton-layer fingerprints).
-    /// Imports only prune search; suites are byte-identical either way.
-    pub vault: bool,
-    /// Attach enumeration workers to sweep-shared compilations lazily:
-    /// definitional CNF layers (one per axiom on the incremental chain)
-    /// stay dormant — no watchers, no propagation — until the worker's
-    /// own assumptions or blocking clauses reference them, so each query
-    /// pays only for its own Tseitin cones. Activation only adds
-    /// constraints the full formula already contains; suites are
-    /// byte-identical either way. No effect without
-    /// [`SynthConfig::incremental`] (scratch compilations carry no
-    /// definitional layers).
-    pub lazy: bool,
-    /// Shelve (rather than drop) vault/exchange imports that mention a
-    /// dormant cone on the lazy path, replaying them the moment the cone
-    /// activates, so laziness never discards sound pruning. Imports only
-    /// prune; suites are byte-identical either way. No effect without
-    /// [`SynthConfig::lazy`].
-    pub shelve: bool,
-    /// Restrict each query's SAT decisions to its declared cone through
-    /// the solver's two-level decision domain (local cone heap first,
-    /// global VSIDS fallback once the cone is assigned). Only reorders
-    /// decisions; suites are byte-identical either way. No effect without
-    /// [`SynthConfig::incremental`] (a scratch compilation *is* its own
-    /// cone).
-    pub domain: bool,
     /// Run level-0 inprocessing on each worker solver's private clause
     /// database: purge satisfied clauses, strip false literals, subsume and
     /// strengthen new learnts. Inprocessing only removes redundant clauses
@@ -171,7 +142,7 @@ pub struct SynthConfig {
     /// Engage the per-query portfolio machinery (cube splitting, and with
     /// it the exchange bus and the cube-selection probe) adaptively by
     /// problem size: below [`SynthConfig::engage_below`] events the query
-    /// auto-downgrades to the unsplit incremental path — at small bounds
+    /// auto-downgrades to the unsplit path — at small bounds
     /// the machinery's overhead loses outright (0.58× measured), and the
     /// suite is byte-identical either way. The downgrade is counted
     /// process-wide (`crate::synth::engage_downgrades`), so which path ran
@@ -218,11 +189,6 @@ impl SynthConfig {
             exchange_max_len: 30,
             adaptive_cubes: true,
             probe_conflicts: 500,
-            incremental: true,
-            vault: true,
-            lazy: true,
-            shelve: true,
-            domain: true,
             inprocess: true,
             tiered: true,
             max_attempts: 3,
@@ -287,37 +253,6 @@ impl SynthConfig {
     /// Enables or disables adaptive cube selection (builder style).
     pub fn with_adaptive_cubes(mut self, adaptive: bool) -> SynthConfig {
         self.adaptive_cubes = adaptive;
-        self
-    }
-
-    /// Enables or disables incremental sweep compilation (builder style).
-    pub fn with_incremental(mut self, incremental: bool) -> SynthConfig {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Enables or disables the cross-query clause vault (builder style).
-    pub fn with_vault(mut self, vault: bool) -> SynthConfig {
-        self.vault = vault;
-        self
-    }
-
-    /// Enables or disables lazy definitional propagation (builder style).
-    pub fn with_lazy(mut self, lazy: bool) -> SynthConfig {
-        self.lazy = lazy;
-        self
-    }
-
-    /// Enables or disables shelve-and-replay of imports over dormant
-    /// cones (builder style).
-    pub fn with_shelve(mut self, shelve: bool) -> SynthConfig {
-        self.shelve = shelve;
-        self
-    }
-
-    /// Enables or disables the two-level decision domain (builder style).
-    pub fn with_domain(mut self, domain: bool) -> SynthConfig {
-        self.domain = domain;
         self
     }
 

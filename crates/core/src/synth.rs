@@ -23,26 +23,16 @@
 //! * the pinned bits are chosen **adaptively** from a probing run's VSIDS
 //!   activity ([`SynthConfig::adaptive_cubes`]) rather than slot order.
 //!
-//! Since incremental sweep compilation, whole sweeps cooperate too
-//! ([`SynthConfig::incremental`], [`SynthConfig::vault`]):
-//!
-//! * all queries of a sweep share one hash-consed circuit arena and one
-//!   **shared layer chain**: per bound, the axiom-independent skeleton (the
-//!   wellformedness constraints, observables, and pin candidates) and then
-//!   every axiom's minimality-circuit *definitions* are Tseitin-encoded
-//!   exactly once per sweep, bound n+1 extending bound n's immutable
-//!   layers. Definition layers never constrain anything by themselves — a
-//!   Tseitin layer only names gates — so all of a bound's queries run over
-//!   the *identical* formula and differ purely in which roots they assume,
-//! * **chain-pure** learnt clauses (derived from the shared layers alone —
-//!   never from a worker's private blocking clauses — tracked through
-//!   every 1UIP resolution) are harvested into a cross-query **clause
-//!   vault** keyed by chain fingerprints, seeding every later query whose
-//!   chain shares the prefix — sound for the same reason bus imports are,
-//!   see `litsynth_portfolio::vault`, and
-//! * each worker **warms** its solver's branching order with its own
-//!   query's cone ([`litsynth_relalg::Finder::warm`]), so sharing one big
-//!   formula does not degrade search focus.
+//! Every (axiom, bound) query is solved the same way whichever entry point
+//! runs it — [`synthesize_axiom`], [`synthesize_union`], a direct
+//! [`synthesize_union_up_to_with_stats`] sweep, or a served unit
+//! ([`run_unit`]): its own compilation, a fresh solver per task attempt,
+//! and nothing shared with other queries. That is the paper's scheme
+//! (§5.2: per-axiom queries, merged at the end), and it is what makes a
+//! direct sweep and a sharded one do identical solver work. Whether the
+//! solver branches on the query's roots first is a property of the model
+//! ([`MemoryModel::roots_first`]); see DESIGN.md §3a for the measurements
+//! behind both choices.
 //!
 //! Results are deterministic by construction — byte-identical across any
 //! `threads`/`cube_bits`/`exchange` choice:
@@ -58,11 +48,7 @@
 //!   deterministic), so the partition never depends on thread timing, and
 //! * imported clauses are implied for every model a worker has yet to
 //!   enumerate (see `litsynth_portfolio::exchange`), so exchange traffic
-//!   affects solver effort only, never the per-cube class sets, and
-//! * incremental compilation and the vault only change how the query's CNF
-//!   is factored into layers and which redundant clauses pre-seed the
-//!   solver — the encoded formula, and hence the enumerated class set, is
-//!   the same, so suites stay byte-identical with either switch flipped.
+//!   affects solver effort only, never the per-cube class sets.
 
 use crate::journal::{config_fingerprint, query_key};
 use crate::perturb::minimality_asserts_opts;
@@ -70,15 +56,14 @@ use crate::symbolic::{vocabulary, SymbolicTest, SynthConfig};
 use litsynth_litmus::{canonical_key_hash, serialize, LitmusTest, Outcome, TwoTierCanon};
 use litsynth_models::{MemoryModel, SymAlg};
 use litsynth_portfolio::{
-    run_resilient, Attempt, ClauseVault, CompiledQuery, CubeConfig, ExchangeBus, ExchangeConfig,
-    ExchangeEndpoint, ExchangeStats, RetryConfig, VaultConfig, VaultStats, VaultedExchange,
+    run_resilient, Attempt, CompiledQuery, CubeConfig, ExchangeBus, ExchangeConfig, RetryConfig,
 };
-use litsynth_relalg::{Bit, Circuit, CompiledCircuit, Finder};
-use litsynth_sat::{ClauseExchange, FaultCtx, Interrupt, Lit, SolveBudget};
+use litsynth_relalg::Bit;
+use litsynth_sat::{FaultCtx, Interrupt, SolveBudget};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A deduplicated suite: canonical key → (test, outcome).
@@ -103,32 +88,27 @@ pub struct WorkerStats {
     pub cnf_clauses: usize,
     /// Wall-clock time this worker spent.
     pub elapsed: Duration,
-    /// Unit propagations this worker's solver performed (delta over this
-    /// task only — pooled solvers carry history from earlier tasks).
+    /// Unit propagations this worker's solver performed.
     pub propagations: u64,
-    /// Decisions this worker's solver made (delta over this task only).
+    /// Decisions this worker's solver made.
     pub decisions: u64,
-    /// Decisions served from the local level of the two-level decision
-    /// domain (delta; 0 unless [`SynthConfig::domain`] is on).
+    /// Decisions served from the query's roots first (0 unless the model
+    /// branches roots-first, [`MemoryModel::roots_first`]).
     pub domain_decisions: u64,
-    /// Shelved imports replayed after their cone activated (delta; 0
-    /// unless the lazy path with [`SynthConfig::shelve`] is on).
-    pub shelved_replayed: u64,
-    /// Clauses purged by level-0 inprocessing as satisfied (delta; 0
-    /// unless [`SynthConfig::inprocess`] is on).
+    /// Clauses purged by level-0 inprocessing as satisfied (0 unless
+    /// [`SynthConfig::inprocess`] is on).
     pub simplify_removed: u64,
-    /// Learnt clauses deleted by on-the-fly subsumption (delta).
+    /// Learnt clauses deleted by on-the-fly subsumption.
     pub subsumed: u64,
     /// Literals removed by false-literal stripping and self-subsuming
-    /// resolution (delta).
+    /// resolution.
     pub strengthened: u64,
-    /// Arena garbage collections this worker's solver ran (delta).
+    /// Arena garbage collections this worker's solver ran.
     pub gc_runs: u64,
-    /// Arena words reclaimed by those collections (delta).
+    /// Arena words reclaimed by those collections.
     pub gc_reclaimed_words: u64,
     /// Live learnt clauses per retention tier (core/mid/local) when the
-    /// task finished — a snapshot of the (possibly pooled) solver, not a
-    /// delta.
+    /// task finished.
     pub learnt_tiers: [u64; 3],
     /// `true` if the instance cap or time budget stopped this worker.
     pub truncated: bool,
@@ -160,7 +140,9 @@ pub struct SynthResult {
     /// Raw solver instances enumerated (before canonicalization), summed
     /// over workers.
     pub raw_instances: usize,
-    /// Wall-clock time for the whole query (not the sum of workers).
+    /// Wall-clock time of the query itself: from its first worker's start
+    /// to its last worker's end (not the sum of workers, and not the time
+    /// other queries of a sweep spent).
     pub elapsed: Duration,
     /// `true` if the instance cap or time budget stopped any worker early.
     pub truncated: bool,
@@ -178,10 +160,8 @@ pub struct SynthResult {
     pub propagations: u64,
     /// Solver decisions, summed over workers.
     pub decisions: u64,
-    /// Local-domain decisions, summed over workers.
+    /// Roots-first decisions, summed over workers.
     pub domain_decisions: u64,
-    /// Shelved imports replayed, summed over workers.
-    pub shelved_replayed: u64,
     /// Inprocessing-purged clauses, summed over workers.
     pub simplify_removed: u64,
     /// Subsumed learnt clauses, summed over workers.
@@ -241,7 +221,6 @@ impl SynthResult {
             propagations: 0,
             decisions: 0,
             domain_decisions: 0,
-            shelved_replayed: 0,
             simplify_removed: 0,
             subsumed: 0,
             strengthened: 0,
@@ -277,7 +256,7 @@ fn insert_dedup(suite: &mut CanonicalSuite, key: String, test: LitmusTest, outco
 static ENGAGE_DOWNGRADES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// How many queries the adaptive engagement heuristic has downgraded to
-/// the unsplit incremental path so far, process-wide. The counter that
+/// the unsplit path so far, process-wide. The counter that
 /// proves which path a small-bound query actually ran.
 pub fn engage_downgrades() -> u64 {
     ENGAGE_DOWNGRADES.load(Ordering::Relaxed)
@@ -316,24 +295,20 @@ fn emit_progress(model_name: &str, axiom: &str, cfg: &SynthConfig, r: &SynthResu
 
 /// One (axiom, bound) query, compiled once and shared by its cube workers.
 struct Query {
-    st: Arc<SymbolicTest>,
+    st: SymbolicTest,
     /// The minimality asserts, without cube pins.
     asserts: Vec<Bit>,
     query: CompiledQuery,
-    /// Full circuit→CNF compilations charged to this query. On the
-    /// monolithic path this is always 1, measured with the thread-local
-    /// counter (the whole build runs on one thread, so sibling queries
-    /// compiling concurrently cannot inflate it). On the incremental path
-    /// the sweep's one full compilation is claimed by whichever query
-    /// arrives first and everyone else charges 0 — so the per-query *sum*
-    /// is exactly 1 per sweep, which `experiments speedup` asserts.
+    /// Full circuit→CNF compilations charged to this query: always 1,
+    /// measured with the thread-local counter (the whole build runs on one
+    /// thread, so sibling queries compiling concurrently cannot inflate
+    /// it).
     compilations: usize,
 }
 
 /// The pin-selection config for one query. A query that will never be
 /// cube-split (`cube_bits == 0`) skips the adaptive probing run outright —
-/// its pins are unused, so the probe would be pure overhead on both the
-/// monolithic and the incremental path.
+/// its pins are unused, so the probe would be pure overhead.
 fn cube_config(cfg: &SynthConfig) -> CubeConfig {
     CubeConfig {
         adaptive: cfg.adaptive_cubes && cfg.cube_bits > 0,
@@ -361,166 +336,10 @@ fn build_query<M: MemoryModel>(model: &M, cfg: &SynthConfig, axiom: &'static str
     );
     let compilations = (litsynth_relalg::thread_compilations() - before) as usize;
     Query {
-        st: Arc::new(st),
+        st,
         asserts,
         query,
         compilations,
-    }
-}
-
-/// The shared, sequentially prebuilt state for every query of one bound in
-/// an incremental sweep: the sweep-wide circuit arena, the bound's symbolic
-/// test, its skeleton compilation (one link of the sweep's layer chain),
-/// and the per-axiom minimality asserts each query extends the skeleton
-/// with.
-struct BoundShare {
-    circuit: Arc<Circuit>,
-    st: Arc<SymbolicTest>,
-    /// The shared layer chain up to and including this bound: per
-    /// participating bound so far, a skeleton layer (wellformedness,
-    /// observables, pin candidates) followed by one *definitional* layer
-    /// per axiom (that axiom's minimality-circuit Tseitin cone), all
-    /// encoded exactly once per sweep. Every layer is tagged shared
-    /// ("skeleton") — definition layers only *name* gates, they assert
-    /// nothing, so learnt clauses derived from the chain alone are sound
-    /// to share between all queries whose chain has them as a prefix (see
-    /// `litsynth_portfolio::vault`) — and the per-axiom layers are
-    /// additionally tagged definitional, so a lazily attached worker
-    /// ([`SynthConfig::lazy`]) leaves sibling axioms' cones dormant. A
-    /// bound's queries all run over this identical formula and differ only
-    /// in their assumption roots.
-    compiled: Arc<CompiledCircuit>,
-    /// Minimality asserts per axiom index (cube pins excluded).
-    asserts: Vec<Vec<Bit>>,
-    candidates: Vec<Bit>,
-    /// `true` until a query claims the sweep's one full compilation for its
-    /// `compilations` counter; extension layers are charged nowhere, which
-    /// keeps the per-query sum at exactly 1 per sweep.
-    charge: AtomicBool,
-    /// Live solvers parked between tasks. Because every query of the bound
-    /// runs over the *identical* compiled chain, a solver that finished one
-    /// task can serve the next — of a different cube, axiom, or attempt —
-    /// keeping its entire learnt-clause database warm (incremental SAT
-    /// across queries, the pool form). Soundness: each task encloses its
-    /// blocking clauses under a fresh activation guard
-    /// ([`Finder::new_guard`]), so nothing task-specific survives into the
-    /// next task's search, and guard-tainted derivations never leave the
-    /// solver (the exchange export filter). The enumerated class sets are
-    /// therefore exactly those of cold solvers; which task gets which
-    /// pooled solver affects effort only.
-    pool: Mutex<Vec<Finder>>,
-}
-
-/// Prebuilds the [`BoundShare`]s of an incremental sweep, sequentially, on
-/// the caller's thread. `specs` pairs each bound's config with whether the
-/// bound participates (it asked for incremental compilation and has tasks
-/// left after journal planning); non-participants get `None` and their
-/// tasks fall back to the monolithic per-query [`build_query`] path.
-///
-/// All participating bounds share **one** hash-consed circuit arena (so a
-/// sub-structure two bounds have in common is one node, encoded once) and
-/// one skeleton layer chain: the first participant's skeleton is compiled
-/// in full ([`CompiledCircuit::compile_tagged`]), every later participant
-/// only extends it ([`CompiledCircuit::extend`]). The arena is frozen into
-/// an `Arc` once, after all bounds are built — node indices are append-only
-/// and stable, so mid-build compilations stay valid.
-fn sweep_shares<M: MemoryModel>(
-    model: &M,
-    specs: &[(&SynthConfig, bool)],
-) -> Vec<Option<Arc<BoundShare>>> {
-    let mut alg = SymAlg::new();
-    let mut chain: Option<Arc<CompiledCircuit>> = None;
-    let mut built = Vec::with_capacity(specs.len());
-    for &(cfg, participates) in specs {
-        if !participates {
-            built.push(None);
-            continue;
-        }
-        let st = SymbolicTest::build(&mut alg, model, cfg);
-        let asserts: Vec<Vec<Bit>> = model
-            .axioms()
-            .iter()
-            .map(|&ax| minimality_asserts_opts(&mut alg, model, &st, ax, cfg.orphan_unconstrained))
-            .collect();
-        let candidates: Vec<Bit> = st.kind.iter().flatten().copied().collect();
-        let roots: Vec<Bit> = st
-            .wellformed
-            .iter()
-            .chain(&st.observables)
-            .chain(&candidates)
-            .copied()
-            .collect();
-        let skeleton = match &chain {
-            None => CompiledCircuit::compile_tagged(&alg.circuit, roots, true),
-            Some(prev) => CompiledCircuit::extend(prev, &alg.circuit, roots, true),
-        };
-        // Chain every axiom's minimality-circuit *definitions* onto the
-        // shared chain as its own definitional layer, tagged shared like
-        // the skeleton. A Tseitin layer never constrains — it only names
-        // gates — so the bound's queries all solve this one formula under
-        // different assumptions, and any clause a solver learns from the
-        // chain alone is valid for every sibling (and every later bound):
-        // that is what makes the vault's cross-query seeding productive
-        // instead of marginal. One layer *per axiom* (instead of one fused
-        // definitions layer) is what lets a lazily attached worker leave
-        // the sibling axioms' cones dormant: each layer is marked
-        // definitional, so `Solver::attach_shared_lazy` installs its
-        // watchers only when the query's own assumptions reach it.
-        let mut link = skeleton;
-        for ax_asserts in &asserts {
-            link = CompiledCircuit::extend_definitional(
-                &link,
-                &alg.circuit,
-                ax_asserts.iter().copied(),
-                true,
-            );
-        }
-        let full = Arc::new(link);
-        chain = Some(full.clone());
-        built.push(Some((Arc::new(st), full, asserts, candidates)));
-    }
-    let circuit = Arc::new(alg.into_circuit());
-    let mut first = true;
-    built
-        .into_iter()
-        .map(|slot| {
-            slot.map(|(st, compiled, asserts, candidates)| {
-                let share = Arc::new(BoundShare {
-                    circuit: circuit.clone(),
-                    st,
-                    compiled,
-                    asserts,
-                    candidates,
-                    charge: AtomicBool::new(first),
-                    pool: Mutex::new(Vec::new()),
-                });
-                first = false;
-                share
-            })
-        })
-        .collect()
-}
-
-/// Derives one query from its bound's prebuilt share. The bound's one
-/// compiled chain already encodes everything the query touches — skeleton
-/// *and* its axiom's minimality definitions — so no per-query Tseitin work
-/// happens at all: the query borrows the chain by `Arc` and contributes
-/// only its assumption roots (plus the pin-ranking probe). Runs inside the
-/// query's `OnceLock`, exactly like [`build_query`].
-fn build_query_from_share(share: &BoundShare, axiom_idx: usize, cfg: &SynthConfig) -> Query {
-    let asserts = share.asserts[axiom_idx].clone();
-    let query = CompiledQuery::from_compiled(
-        share.circuit.clone(),
-        share.compiled.clone(),
-        &asserts,
-        &share.candidates,
-        &cube_config(cfg),
-    );
-    Query {
-        st: share.st.clone(),
-        asserts,
-        query,
-        compilations: usize::from(share.charge.swap(false, Ordering::Relaxed)),
     }
 }
 
@@ -537,60 +356,6 @@ struct Task {
     cube_bits: usize,
     shared: Arc<OnceLock<Query>>,
     bus: Arc<ExchangeBus>,
-    /// The bound's prebuilt share when the sweep compiles incrementally;
-    /// `None` makes the query compile monolithically on first touch.
-    prebuilt: Option<Arc<BoundShare>>,
-    /// The sweep-wide cross-query clause vault, when enabled.
-    vault: Option<Arc<ClauseVault>>,
-}
-
-/// Attaches a bound's prebuilt share — and the sweep vault, for the tasks
-/// whose config asks for it — to the bound's planned tasks.
-fn attach_share(
-    tasks: &mut [Task],
-    share: &Option<Arc<BoundShare>>,
-    vault: &Option<Arc<ClauseVault>>,
-) {
-    for t in tasks {
-        t.prebuilt = share.clone();
-        if t.cfg.vault {
-            t.vault = vault.clone();
-        }
-    }
-}
-
-/// A cube worker's exchange stack: its bus endpoint, wrapped with
-/// cross-query vault traffic when the query sits on a skeleton layer chain
-/// (monolithic queries have a single untagged layer, no chain fingerprints,
-/// and skip the wrapper).
-enum CubeExchange {
-    Plain(ExchangeEndpoint),
-    Vaulted(VaultedExchange<ExchangeEndpoint>),
-}
-
-impl CubeExchange {
-    fn stats(&self) -> ExchangeStats {
-        match self {
-            CubeExchange::Plain(e) => e.stats(),
-            CubeExchange::Vaulted(v) => v.inner().stats(),
-        }
-    }
-}
-
-impl ClauseExchange for CubeExchange {
-    fn export(&mut self, lits: &[Lit], lbd: u32, skeleton: bool) {
-        match self {
-            CubeExchange::Plain(e) => e.export(lits, lbd, skeleton),
-            CubeExchange::Vaulted(v) => v.export(lits, lbd, skeleton),
-        }
-    }
-
-    fn fetch(&mut self, out: &mut Vec<(Vec<Lit>, u32, bool)>) {
-        match self {
-            CubeExchange::Plain(e) => e.fetch(out),
-            CubeExchange::Vaulted(v) => v.fetch(out),
-        }
-    }
 }
 
 /// The shared state for one query's worker group.
@@ -609,6 +374,9 @@ fn query_group(cfg: &SynthConfig, cube_bits: usize) -> (Arc<OnceLock<Query>>, Ar
 struct CubeRun {
     tests: CanonicalSuite,
     stats: WorkerStats,
+    /// When the attempt that produced this run started and finished
+    /// (`None` for a placeholder: no attempt produced anything).
+    window: Option<(Instant, Instant)>,
     /// Compilations charged to this worker (the query's one compilation is
     /// charged to cube 0).
     compilations: usize,
@@ -640,106 +408,45 @@ fn attempt_budget(task: &Task, attempt: usize, start: Instant) -> SolveBudget {
 /// Enumerates one cube of one (axiom, bound) query on the current thread.
 ///
 /// The first worker of a query to arrive compiles it (once) into the
-/// shared `OnceLock`; everyone attaches a private solver to the shared
-/// clause arena and trades learnt clauses over the query's exchange bus.
-///
-/// On the monolithic path every call starts from a fresh solver attached
-/// to the (immutable) shared arena. On an incremental bound the call may
-/// instead draw a live solver from the bound's pool (see
-/// [`BoundShare::pool`]); either way each attempt runs under its own fresh
-/// activation guard, so a retried attempt re-enumerates the cube from
-/// scratch and deterministically: no *constraint* from a failed attempt
-/// leaks into the next one — only formula-implied learnt clauses, which
-/// prune without changing the enumerated set. On the final attempt
-/// exchange imports are disabled for maximal independence from peer timing
-/// (exports still flow; see `litsynth_portfolio::exchange` for why imports
-/// can't change the enumerated set either way).
+/// shared `OnceLock`; every attempt then attaches a fresh private solver
+/// to the shared clause arena and trades learnt clauses over the query's
+/// exchange bus. A retried attempt therefore re-enumerates its whole cube
+/// again, deterministically. On the final attempt exchange imports
+/// are disabled for maximal independence from peer timing (exports still
+/// flow; see `litsynth_portfolio::exchange` for why imports can't change
+/// the enumerated set either way).
 fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Attempt<CubeRun> {
     let cfg = &task.cfg;
     let start = Instant::now();
-    let query = task.shared.get_or_init(|| match &task.prebuilt {
-        Some(share) => build_query_from_share(share, task.axiom_idx, cfg),
-        None => build_query(model, cfg, task.axiom),
-    });
+    let query = task
+        .shared
+        .get_or_init(|| build_query(model, cfg, task.axiom));
     let st = &query.st;
     let circuit = query.query.circuit();
     let mut asserts = query.asserts.clone();
     asserts.extend(query.query.cube_pins(task.cube, task.cube_bits));
-    // On a prebuilt (incremental) bound, reuse a live solver from the
-    // bound's pool when one is parked: every task of the bound solves the
-    // identical compiled chain, so the solver arrives with its learnt
-    // clauses — and everything the chain's earlier tasks proved — intact.
-    // The price of soundness is one activation guard per task enclosing
-    // its blocking clauses; a fresh attach pays the same guard so that it,
-    // too, can be parked and reused when it finishes.
-    let pooled = task.prebuilt.as_ref().map(|share| &share.pool);
-    let mut finder = pooled
-        .and_then(|pool| pool.lock().unwrap_or_else(|e| e.into_inner()).pop())
-        .unwrap_or_else(|| {
-            // Lazy attach leaves the chain's definitional layers (sibling
-            // axioms' Tseitin cones) dormant; this query's own cones wake
-            // on the first solve, when its assumptions reference them. On
-            // a monolithic compilation there are no definitional layers
-            // and the two attaches are identical. Every task of a bound
-            // shares one `cfg.lazy`, so pooled solvers are homogeneous.
-            if cfg.lazy {
-                query.query.attach_lazy()
-            } else {
-                query.query.attach()
-            }
-        });
-    let stats_before = finder.solver_stats();
-    // Per-task knobs on a possibly pooled solver: shelving of imports over
-    // dormant cones (lazy path) and the two-level decision domain. Set
-    // before `declare_roots`, which is what (re)builds the domain as this
-    // task's cone — on a pooled solver that replaces the previous task's
-    // cone, which is exactly the point: the accumulated active set only
-    // grows, the decision domain tracks the *current* query.
-    finder.set_shelving(cfg.shelve);
-    finder.set_domain_enabled(cfg.domain && cfg.incremental);
+    let mut finder = query.query.attach();
+    // Attaching propagates the arena's unit clauses; that work belongs to
+    // the compilation, so the task's propagation count starts after it.
+    let attach_props = finder.solver_stats().propagations;
     finder.set_inprocessing(cfg.inprocess);
     finder.set_tiered_retention(cfg.tiered);
-    let guard = pooled.map(|_| finder.new_guard());
-    // Focus branching on this query's own cone. On the monolithic path the
-    // warmed cone covers (essentially) the whole formula, so this changes
-    // nothing; on a sweep-shared chain it keeps the solver out of the other
-    // bounds' and axioms' layers until propagation actually drags it there.
-    finder.warm(
-        circuit,
-        asserts
-            .iter()
-            .chain(&st.observables)
-            .chain(st.kind.iter().flatten())
-            .copied(),
-    );
-    // Declare this task's live cone roots up front: on a lazy attach the
-    // vault fetch and exchange drain below land on live watchers instead
-    // of the shelf, and with the decision domain on this is what scopes
-    // branching to the task's own cone.
     let root_bits: Vec<Bit> = asserts
         .iter()
         .chain(&st.observables)
         .chain(st.kind.iter().flatten())
         .copied()
         .collect();
+    // Seed branching with the query's cone, and — for models that branch
+    // roots-first — decide the roots before the global VSIDS order.
+    finder.set_domain_enabled(model.roots_first());
+    finder.warm(circuit, root_bits.iter().copied());
     finder.declare_roots(circuit, &root_bits);
     let max_attempts = cfg.max_attempts.max(1);
-    let last_attempt = max_attempts > 1 && attempt + 1 >= max_attempts;
-    let mut endpoint = task.bus.endpoint(task.cube);
-    if last_attempt {
-        endpoint.disable_imports();
+    let mut exchange = task.bus.endpoint(task.cube);
+    if max_attempts > 1 && attempt + 1 >= max_attempts {
+        exchange.disable_imports();
     }
-    let fingerprints = query.query.compiled().cnf().skeleton_fingerprints();
-    let mut exchange = match (&task.vault, fingerprints.last().copied()) {
-        (Some(vault), Some(publish_fp)) => {
-            let mut v = VaultedExchange::new(endpoint, vault.clone(), publish_fp, fingerprints);
-            if last_attempt {
-                v.suppress_imports();
-            }
-            CubeExchange::Vaulted(v)
-        }
-        _ => CubeExchange::Plain(endpoint),
-    };
     let budget = attempt_budget(task, attempt, start);
 
     let mut tests = BTreeMap::new();
@@ -751,15 +458,8 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
     let mut raw = 0usize;
     let mut truncated = false;
     let mut interrupted: Option<Interrupt> = None;
-    let extra: Vec<Lit> = guard.into_iter().collect();
     loop {
-        match finder.next_instance_budgeted_assuming(
-            circuit,
-            &asserts,
-            &extra,
-            &mut exchange,
-            &budget,
-        ) {
+        match finder.next_instance_budgeted(circuit, &asserts, &mut exchange, &budget) {
             Ok(Some(inst)) => {
                 raw += 1;
                 let (test, outcome) = st.extract(circuit, &inst);
@@ -774,7 +474,7 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
                         outcome,
                     );
                 }
-                finder.block_guarded(circuit, &inst, &st.observables, guard);
+                finder.block(circuit, &inst, &st.observables);
                 if raw >= cfg.max_instances {
                     truncated = true;
                     break;
@@ -794,61 +494,30 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
     }
     let xs = exchange.stats();
     let (cnf_vars, cnf_clauses) = (finder.num_cnf_vars(), finder.num_cnf_clauses());
-    let stats_after = finder.solver_stats();
-    let propagations = stats_after.propagations - stats_before.propagations;
-    let decisions = stats_after.decisions - stats_before.decisions;
-    let domain_decisions = stats_after.domain_decisions - stats_before.domain_decisions;
-    let shelved_replayed = stats_after.shelved_replayed - stats_before.shelved_replayed;
-    let simplify_removed = stats_after.simplify_removed - stats_before.simplify_removed;
-    let subsumed = stats_after.subsumed - stats_before.subsumed;
-    let strengthened = stats_after.strengthened - stats_before.strengthened;
-    let gc_runs = stats_after.gc_runs - stats_before.gc_runs;
-    let gc_reclaimed_words = stats_after.gc_reclaimed_words - stats_before.gc_reclaimed_words;
-    let learnt_tiers = [
-        stats_after.learnts_core,
-        stats_after.learnts_mid,
-        stats_after.learnts_local,
-    ];
+    let ss = finder.solver_stats();
+    let propagations = ss.propagations - attach_props;
     if std::env::var_os("LITSYNTH_TRACE").is_some() {
         eprintln!(
-            "trace {} cube {} attempt {}: wall {:?} probe {:?} raw {} conflicts {} props {} decs {} domdecs {} replayed {} simp {} subs {} str {} gc {}/{}w tiers {}/{}/{} active {}/{}",
+            "trace {} cube {} attempt {}: wall {:?} probe {:?} raw {} conflicts {} props {} decs {} domdecs {} simp {} subs {} str {} gc {}/{}w tiers {}/{}/{}",
             task.query_key,
             task.cube,
             attempt,
             start.elapsed(),
             query.query.probe_time(),
             raw,
-            finder.solver_stats().conflicts,
+            ss.conflicts,
             propagations,
-            decisions,
-            domain_decisions,
-            shelved_replayed,
-            simplify_removed,
-            subsumed,
-            strengthened,
-            gc_runs,
-            gc_reclaimed_words,
-            learnt_tiers[0],
-            learnt_tiers[1],
-            learnt_tiers[2],
-            finder.active_var_count(),
-            finder.num_cnf_vars(),
+            ss.decisions,
+            ss.domain_decisions,
+            ss.simplify_removed,
+            ss.subsumed,
+            ss.strengthened,
+            ss.gc_runs,
+            ss.gc_reclaimed_words,
+            ss.learnts_core,
+            ss.learnts_mid,
+            ss.learnts_local,
         );
-    }
-    // Park the solver for the bound's next task, warm. Interrupted attempts
-    // park too — the retry draws a pooled solver and a *fresh* guard, so
-    // the failed pass's guarded blocking clauses are inert and the retry
-    // re-enumerates its cube from scratch, exactly like a cold solver
-    // would. A task that panics instead (injected fault) simply drops its
-    // solver; the pool refills from `attach` on demand. The guard is
-    // retired first (¬guard asserted at level 0): it is never assumed
-    // again, so the pass's blocking clauses become level-0-satisfied and
-    // the parked solver's next inprocessing pass physically sheds them.
-    if let Some(pool) = pooled {
-        if let Some(g) = guard {
-            finder.retire_guard(g);
-        }
-        pool.lock().unwrap_or_else(|e| e.into_inner()).push(finder);
     }
     let run = CubeRun {
         tests,
@@ -875,15 +544,14 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
             cnf_clauses,
             elapsed: start.elapsed(),
             propagations,
-            decisions,
-            domain_decisions,
-            shelved_replayed,
-            simplify_removed,
-            subsumed,
-            strengthened,
-            gc_runs,
-            gc_reclaimed_words,
-            learnt_tiers,
+            decisions: ss.decisions,
+            domain_decisions: ss.domain_decisions,
+            simplify_removed: ss.simplify_removed,
+            subsumed: ss.subsumed,
+            strengthened: ss.strengthened,
+            gc_runs: ss.gc_runs,
+            gc_reclaimed_words: ss.gc_reclaimed_words,
+            learnt_tiers: [ss.learnts_core, ss.learnts_mid, ss.learnts_local],
             truncated,
             exported: xs.exported,
             imported: xs.imported,
@@ -893,6 +561,7 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
             degraded: false,
             failures: Vec::new(),
         },
+        window: Some((start, Instant::now())),
     };
     match interrupted {
         None => Attempt::Done(run),
@@ -915,6 +584,7 @@ fn placeholder_run(task: &Task) -> CubeRun {
         tests: BTreeMap::new(),
         compilations: 0,
         probe: Duration::ZERO,
+        window: None,
         stats: WorkerStats {
             axiom: task.axiom,
             bound: task.cfg.events,
@@ -927,7 +597,6 @@ fn placeholder_run(task: &Task) -> CubeRun {
             propagations: 0,
             decisions: 0,
             domain_decisions: 0,
-            shelved_replayed: 0,
             simplify_removed: 0,
             subsumed: 0,
             strengthened: 0,
@@ -974,8 +643,15 @@ fn run_tasks<M: MemoryModel + Sync>(model: &M, tasks: &[Task], threads: usize) -
     .collect()
 }
 
-/// Merges the cube runs of one query (in cube order) into a [`SynthResult`].
-fn merge_query(runs: Vec<CubeRun>, elapsed: Duration) -> SynthResult {
+/// Merges the cube runs of one query (in cube order) into a [`SynthResult`]
+/// whose `elapsed` spans the query's own attempts.
+fn merge_query(runs: Vec<CubeRun>) -> SynthResult {
+    let windows = runs.iter().filter_map(|r| r.window);
+    let first = windows.clone().map(|(s, _)| s).min();
+    let last = windows.map(|(_, e)| e).max();
+    let elapsed = first
+        .zip(last)
+        .map_or(Duration::ZERO, |(s, e)| e.duration_since(s));
     let mut tests = BTreeMap::new();
     let mut raw = 0;
     let mut vars = 0;
@@ -985,7 +661,6 @@ fn merge_query(runs: Vec<CubeRun>, elapsed: Duration) -> SynthResult {
     let mut propagations = 0u64;
     let mut decisions = 0u64;
     let mut domain_decisions = 0u64;
-    let mut shelved_replayed = 0u64;
     let mut simplify_removed = 0u64;
     let mut subsumed = 0u64;
     let mut strengthened = 0u64;
@@ -1010,7 +685,6 @@ fn merge_query(runs: Vec<CubeRun>, elapsed: Duration) -> SynthResult {
         propagations += run.stats.propagations;
         decisions += run.stats.decisions;
         domain_decisions += run.stats.domain_decisions;
-        shelved_replayed += run.stats.shelved_replayed;
         simplify_removed += run.stats.simplify_removed;
         subsumed += run.stats.subsumed;
         strengthened += run.stats.strengthened;
@@ -1034,7 +708,6 @@ fn merge_query(runs: Vec<CubeRun>, elapsed: Duration) -> SynthResult {
         propagations,
         decisions,
         domain_decisions,
-        shelved_replayed,
         simplify_removed,
         subsumed,
         strengthened,
@@ -1154,12 +827,18 @@ fn plan_with_journal<M: MemoryModel>(
                 cube_bits,
                 shared: shared.clone(),
                 bus: bus.clone(),
-                prebuilt: None,
-                vault: None,
             });
         }
     }
     (hits, tasks)
+}
+
+/// The read-only epilogue every completed query runs, in merge order:
+/// cross-check, journal, report progress.
+fn finish_query<M: MemoryModel>(model: &M, axiom: &str, cfg: &SynthConfig, r: &SynthResult) {
+    cross_check_suite(model, axiom, cfg, r);
+    record_if_clean(model.name(), axiom, cfg, r);
+    emit_progress(model.name(), axiom, cfg, r);
 }
 
 /// Synthesizes the suite for one axiom of `model` at the bound in `cfg`:
@@ -1192,15 +871,10 @@ pub fn synthesize_axiom<M: MemoryModel + Sync>(
             cube_bits,
             shared: shared.clone(),
             bus: bus.clone(),
-            prebuilt: None,
-            vault: None,
         })
         .collect();
-    let runs = run_tasks(model, &tasks, cfg.threads);
-    let r = merge_query(runs, start.elapsed());
-    cross_check_suite(model, axiom, cfg, &r);
-    record_if_clean(model.name(), axiom, cfg, &r);
-    emit_progress(model.name(), axiom, cfg, &r);
+    let r = merge_query(run_tasks(model, &tasks, cfg.threads));
+    finish_query(model, axiom, cfg, &r);
     r
 }
 
@@ -1213,21 +887,8 @@ pub fn synthesize_union<M: MemoryModel + Sync>(
     model: &M,
     cfg: &SynthConfig,
 ) -> (BTreeMap<&'static str, SynthResult>, CanonicalSuite) {
-    let start = Instant::now();
-    let (hits, mut tasks) = plan_with_journal(model, cfg);
-    if cfg.incremental && !tasks.is_empty() {
-        let share = sweep_shares(model, &[(cfg, true)]).pop().flatten();
-        let vault = cfg.vault.then(|| ClauseVault::new(VaultConfig::default()));
-        attach_share(&mut tasks, &share, &vault);
-    }
-    let runs = run_tasks(model, &tasks, cfg.threads);
-    let (per_axiom, union) = merge_union(model, tasks, runs, start, hits);
-    for (&ax, r) in &per_axiom {
-        cross_check_suite(model, ax, cfg, r);
-        record_if_clean(model.name(), ax, cfg, r);
-        emit_progress(model.name(), ax, cfg, r);
-    }
-    (per_axiom, union)
+    let (union, _, mut per_bound) = sweep(model, vec![cfg.clone()]);
+    (per_bound.pop().unwrap_or_default(), union)
 }
 
 /// Groups task outputs by axiom (in axiom order), splices in the journal
@@ -1238,7 +899,6 @@ fn merge_union<M: MemoryModel>(
     model: &M,
     tasks: Vec<Task>,
     runs: Vec<CubeRun>,
-    start: Instant,
     mut hits: BTreeMap<usize, SynthResult>,
 ) -> (BTreeMap<&'static str, SynthResult>, CanonicalSuite) {
     let mut grouped: Vec<Vec<CubeRun>> = model.axioms().iter().map(|_| Vec::new()).collect();
@@ -1248,9 +908,7 @@ fn merge_union<M: MemoryModel>(
     let mut per_axiom = BTreeMap::new();
     let mut union: CanonicalSuite = BTreeMap::new();
     for (idx, (&ax, runs)) in model.axioms().iter().zip(grouped).enumerate() {
-        let r = hits
-            .remove(&idx)
-            .unwrap_or_else(|| merge_query(runs, start.elapsed()));
+        let r = hits.remove(&idx).unwrap_or_else(|| merge_query(runs));
         for (k, v) in &r.tests {
             union.entry(k.clone()).or_insert_with(|| v.clone());
         }
@@ -1259,25 +917,37 @@ fn merge_union<M: MemoryModel>(
     (per_axiom, union)
 }
 
-/// Aggregate compile-reuse and clause-vault statistics for one sweep of
-/// [`synthesize_union_up_to_with_stats`].
+/// Counters of the cross-query clause vault earlier versions shared
+/// learnt clauses through. Every query now solves on its own, so these
+/// always read 0; the type is kept for readers of [`SweepStats::vault`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VaultStats {
+    /// Clauses published to the vault (always 0).
+    pub published: u64,
+    /// Clauses imported from the vault (always 0).
+    pub imported: u64,
+    /// Clauses the vault filtered (always 0).
+    pub filtered: u64,
+}
+
+/// Aggregate statistics for one sweep of
+/// [`synthesize_union_up_to_with_stats`]: the sums of its queries'
+/// [`SynthResult`] counters.
+///
+/// `extensions`, `reused_clauses`, `vault` and `shelved_replayed` belong to
+/// the sweep-wide layer chain, clause vault and import shelf that earlier
+/// versions ran; each query now compiles and solves on its own, so they
+/// always read 0. They are kept for existing readers of these fields.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepStats {
-    /// Full circuit→CNF compilations charged to the sweep's queries — the
-    /// race-free per-query sum. Exactly 1 for a fully incremental sweep
-    /// (the shared skeleton's compile, claimed by whichever query arrives
-    /// first), one per query monolithically; journal hits charge 0.
+    /// Full circuit→CNF compilations: one per solved query (journal hits
+    /// charge 0).
     pub compilations: u64,
-    /// Incremental layer extensions performed while the sweep ran: the
-    /// skeleton-chain links after the first, plus one per derived query.
-    /// A process-global delta of [`litsynth_relalg::incremental_extensions`]
-    /// — exact when no other synthesis runs concurrently in the process.
+    /// Always 0 (see the type docs).
     pub extensions: u64,
-    /// Already-encoded clauses reused by those extensions instead of being
-    /// re-encoded (delta of [`litsynth_relalg::reused_clauses`], same
-    /// caveat).
+    /// Always 0 (see the type docs).
     pub reused_clauses: u64,
-    /// Cross-query clause-vault counters (all zero with the vault off).
+    /// Always 0 (see the type docs).
     pub vault: VaultStats,
     /// Raw solver instances enumerated, summed over the sweep's queries.
     pub raw_instances: u64,
@@ -1288,20 +958,14 @@ pub struct SweepStats {
     /// Exchange-bus totals over all workers: (exported, imported,
     /// filtered).
     pub exchange: (u64, u64, u64),
-    /// Unit propagations, summed over the sweep's workers. The number
-    /// [`SynthConfig::lazy`] exists to shrink: dormant definitional layers
-    /// propagate nothing.
+    /// Unit propagations, summed over the sweep's workers.
     pub propagations: u64,
     /// Solver decisions, summed over the sweep's workers.
     pub decisions: u64,
-    /// Decisions served from the local level of the two-level decision
-    /// domain, summed over the sweep's workers (0 with
-    /// [`SynthConfig::domain`] off — a zero here with the domain on means
-    /// it was silently disabled somewhere).
+    /// Roots-first decisions, summed over the sweep's workers (0 unless
+    /// the model branches roots-first, [`MemoryModel::roots_first`]).
     pub domain_decisions: u64,
-    /// Shelved imports replayed after their cone activated, summed over
-    /// the sweep's workers (0 with [`SynthConfig::shelve`] off or the
-    /// lazy path inactive).
+    /// Always 0 (see the type docs).
     pub shelved_replayed: u64,
     /// Clauses purged by level-0 inprocessing, summed over the sweep's
     /// workers (0 with [`SynthConfig::inprocess`] off).
@@ -1337,51 +1001,43 @@ pub fn synthesize_union_up_to_with_stats<M: MemoryModel + Sync>(
     bounds: std::ops::RangeInclusive<usize>,
     mk_cfg: impl Fn(usize) -> SynthConfig,
 ) -> (CanonicalSuite, SweepStats) {
-    let cfgs: Vec<SynthConfig> = bounds.map(mk_cfg).collect();
+    let (union, stats, _) = sweep(model, bounds.map(mk_cfg).collect());
+    (union, stats)
+}
+
+/// The per-axiom results of one bound of a sweep.
+type BoundResults = BTreeMap<&'static str, SynthResult>;
+
+/// Runs one config per bound as a single pool of (bound, axiom, cube)
+/// tasks and merges the results in bound order, each bound in axiom
+/// order — the same shape as the sequential loop, so the result is
+/// byte-identical to it. Returns the union, its stats and the per-axiom
+/// results of every bound.
+fn sweep<M: MemoryModel + Sync>(
+    model: &M,
+    cfgs: Vec<SynthConfig>,
+) -> (CanonicalSuite, SweepStats, Vec<BoundResults>) {
     let threads = cfgs.iter().map(|c| c.threads).max().unwrap_or(1);
-    let extensions0 = litsynth_relalg::incremental_extensions();
-    let reused0 = litsynth_relalg::reused_clauses();
-    // (journal hits, task count) per bound. The journal is consulted once,
-    // up front — entries recorded while the pool runs must not change
-    // which tasks this invocation planned.
+    // The journal is consulted once per bound, up front — entries recorded
+    // while the pool runs must not change which tasks this call planned.
     let mut plans = Vec::new();
-    let mut per_bound: Vec<Vec<Task>> = Vec::new();
+    let mut tasks: Vec<Task> = Vec::new();
     for cfg in &cfgs {
         let (hits, bound_tasks) = plan_with_journal(model, cfg);
         plans.push((hits, bound_tasks.len()));
-        per_bound.push(bound_tasks);
+        tasks.extend(bound_tasks);
     }
-    // Prebuild one shared arena and skeleton layer chain for the bounds
-    // that asked for incremental compilation and still have work, plus one
-    // sweep-wide vault — later bounds' chains contain the earlier bounds'
-    // chains as prefixes, so clauses vaulted at bound n seed bound n+1 too.
-    let specs: Vec<(&SynthConfig, bool)> = cfgs
-        .iter()
-        .zip(&per_bound)
-        .map(|(cfg, tasks)| (cfg, cfg.incremental && !tasks.is_empty()))
-        .collect();
-    let shares = sweep_shares(model, &specs);
-    let vault = cfgs
-        .iter()
-        .any(|c| c.vault)
-        .then(|| ClauseVault::new(VaultConfig::default()));
-    for (tasks, share) in per_bound.iter_mut().zip(&shares) {
-        attach_share(tasks, share, &vault);
-    }
-    let tasks: Vec<Task> = per_bound.into_iter().flatten().collect();
     let runs = run_tasks(model, &tasks, threads);
 
-    // Merge in bound order, each bound in axiom order — the same shape as
-    // the sequential loop, so the result is byte-identical to it.
     let mut stats = SweepStats::default();
     let mut union: CanonicalSuite = BTreeMap::new();
+    let mut per_bound = Vec::with_capacity(cfgs.len());
     let mut tasks = tasks.into_iter();
     let mut runs = runs.into_iter();
     for (cfg, (hits, count)) in cfgs.iter().zip(plans) {
         let bound_tasks: Vec<Task> = tasks.by_ref().take(count).collect();
         let bound_runs: Vec<CubeRun> = runs.by_ref().take(count).collect();
-        let start = Instant::now();
-        let (per_axiom, u) = merge_union(model, bound_tasks, bound_runs, start, hits);
+        let (per_axiom, u) = merge_union(model, bound_tasks, bound_runs, hits);
         for (&ax, r) in &per_axiom {
             stats.compilations += r.compilations as u64;
             stats.raw_instances += r.raw_instances as u64;
@@ -1393,24 +1049,17 @@ pub fn synthesize_union_up_to_with_stats<M: MemoryModel + Sync>(
             stats.propagations += r.propagations;
             stats.decisions += r.decisions;
             stats.domain_decisions += r.domain_decisions;
-            stats.shelved_replayed += r.shelved_replayed;
             stats.simplify_removed += r.simplify_removed;
             stats.subsumed += r.subsumed;
             stats.strengthened += r.strengthened;
             stats.gc_runs += r.gc_runs;
             stats.gc_reclaimed_words += r.gc_reclaimed_words;
-            cross_check_suite(model, ax, cfg, r);
-            record_if_clean(model.name(), ax, cfg, r);
-            emit_progress(model.name(), ax, cfg, r);
+            finish_query(model, ax, cfg, r);
         }
         union.extend(u);
+        per_bound.push(per_axiom);
     }
-    stats.extensions = litsynth_relalg::incremental_extensions() - extensions0;
-    stats.reused_clauses = litsynth_relalg::reused_clauses() - reused0;
-    if let Some(v) = &vault {
-        stats.vault = v.stats();
-    }
-    (union, stats)
+    (union, stats, per_bound)
 }
 
 /// One shard-claimable unit of a sweep: a single (axiom, bound) query with
@@ -1492,7 +1141,9 @@ pub fn merge_unit_suites<'a>(
 mod tests {
     use super::*;
     use crate::minimal::check_minimal;
-    use litsynth_models::{Sc, Tso};
+    use litsynth_litmus::{AxiomSpec, DepKind, FenceKind, Instr, MemOrder};
+    use litsynth_models::{ConcreteAlg, Ctx, Power, RelAlg, RelaxKind, Sc, Scc, Tso, C11};
+    use litsynth_relalg::CompiledCircuit;
 
     #[test]
     fn tso_sc_per_loc_bound_2_finds_the_three_coherence_kernels() {
@@ -1716,7 +1367,6 @@ mod tests {
         let cfg = SynthConfig::new(2)
             .with_threads(4)
             .with_cube_bits(2)
-            .with_incremental(false)
             .with_adaptive_engage(false);
         let (p, _) = synthesize_union(&m, &cfg);
         let compiled = litsynth_relalg::compilations() - before;
@@ -1726,9 +1376,8 @@ mod tests {
         // race-free per-query counters below, not on the global delta.
         assert!(compiled as usize >= m.axioms().len());
         for (ax, r) in &p {
-            // Monolithic mode: exactly one circuit→CNF compilation per
-            // (axiom, bound) query, no matter how many cube workers
-            // attached.
+            // Exactly one circuit→CNF compilation per (axiom, bound)
+            // query, no matter how many cube workers attached.
             assert_eq!(r.compilations, 1, "{ax}");
             assert_eq!(r.workers.len(), 4, "{ax}");
             // Worker counters roll up into the query-level totals.
@@ -1742,76 +1391,82 @@ mod tests {
                 "{ax}"
             );
         }
-        // Incremental mode (the default): one full compilation for the
-        // whole union — the shared skeleton's — claimed by exactly one
-        // query; the bound's definition layers extend that chain and all
-        // queries share the result, contributing only assumption roots.
-        let extensions_before = litsynth_relalg::incremental_extensions();
-        let cfg = SynthConfig::new(2)
-            .with_threads(4)
-            .with_cube_bits(2)
-            .with_adaptive_engage(false);
-        let (p, _) = synthesize_union(&m, &cfg);
-        assert_eq!(
-            p.values().map(|r| r.compilations).sum::<usize>(),
-            1,
-            "an incremental sweep compiles in full exactly once"
-        );
-        assert!(
-            litsynth_relalg::incremental_extensions() > extensions_before,
-            "the definition layers must extend the skeleton chain"
-        );
+        // A sweep compiles once per query too: nothing is shared across
+        // queries, so the per-query sum is the query count.
+        let (_, stats) = synthesize_union_up_to_with_stats(&m, 2..=3, SynthConfig::new);
+        assert_eq!(stats.compilations as usize, 2 * m.axioms().len());
+        assert_eq!(stats.extensions, 0);
+        assert_eq!(stats.vault, VaultStats::default());
+    }
+
+    /// One bound's roots as a layered sweep chain compiles them: the
+    /// skeleton's (well-formedness, observables, kind selectors), then
+    /// each axiom's minimality asserts, in axiom order.
+    fn chain_roots(alg: &mut SymAlg, m: &Tso, bound: usize) -> (Vec<Bit>, Vec<Vec<Bit>>) {
+        let cfg = SynthConfig::new(bound);
+        let st = SymbolicTest::build(alg, m, &cfg);
+        let candidates: Vec<Bit> = st.kind.iter().flatten().copied().collect();
+        let skeleton: Vec<Bit> = st
+            .wellformed
+            .iter()
+            .chain(&st.observables)
+            .chain(&candidates)
+            .copied()
+            .collect();
+        let asserts = m
+            .axioms()
+            .iter()
+            .map(|&ax| minimality_asserts_opts(alg, m, &st, ax, cfg.orphan_unconstrained))
+            .collect();
+        (skeleton, asserts)
+    }
+
+    /// Links one bound onto a sweep chain: its skeleton layer (a full
+    /// compilation on the first bound, an extension after that) and then
+    /// one definitional layer per axiom. Returns the skeleton link and the
+    /// full link.
+    fn link_bound(
+        alg: &SymAlg,
+        chain: Option<&CompiledCircuit>,
+        skeleton: &[Bit],
+        asserts: &[Vec<Bit>],
+    ) -> (CompiledCircuit, CompiledCircuit) {
+        let roots = skeleton.iter().copied();
+        let skel = match chain {
+            None => CompiledCircuit::compile_tagged(&alg.circuit, roots, true),
+            Some(prev) => CompiledCircuit::extend(prev, &alg.circuit, roots, true),
+        };
+        let mut full: Option<CompiledCircuit> = None;
+        for ax_asserts in asserts {
+            let base = full.as_ref().unwrap_or(&skel);
+            let ax_roots = ax_asserts.iter().copied();
+            full = Some(CompiledCircuit::extend_definitional(base, &alg.circuit, ax_roots, true));
+        }
+        let full = full.expect("every model has an axiom");
+        (skel, full)
     }
 
     #[test]
     fn incremental_chain_cnf_matches_from_scratch_modulo_renaming() {
-        // The tentpole soundness property, for bounds 2..=4: the shared
-        // layer chain — each bound's skeleton link followed by one
+        // The layered-compilation soundness property, for bounds 2..=4:
+        // the layer chain — each bound's skeleton link followed by one
         // definitional link per axiom — contains exactly the clauses a
         // from-scratch compilation of the same cumulative roots produces,
         // modulo variable renaming. Every cone is Tseitin-encoded exactly
-        // once per sweep, nothing more and nothing less.
+        // once per chain, nothing more and nothing less.
         let m = Tso::new();
-        let mut alg = litsynth_models::SymAlg::new();
+        let mut alg = SymAlg::new();
         let mut chain: Option<CompiledCircuit> = None;
         let mut cumulative_roots: Vec<Bit> = Vec::new();
         for bound in 2..=4usize {
-            let cfg = SynthConfig::new(bound);
-            let st = SymbolicTest::build(&mut alg, &m, &cfg);
-            let candidates: Vec<Bit> = st.kind.iter().flatten().copied().collect();
-            let roots: Vec<Bit> = st
-                .wellformed
-                .iter()
-                .chain(&st.observables)
-                .chain(&candidates)
-                .copied()
-                .collect();
-            let skeleton = match &chain {
-                None => CompiledCircuit::compile_tagged(&alg.circuit, roots.iter().copied(), true),
-                Some(prev) => {
-                    CompiledCircuit::extend(prev, &alg.circuit, roots.iter().copied(), true)
-                }
-            };
-            cumulative_roots.extend(&roots);
+            let (skeleton_roots, asserts) = chain_roots(&mut alg, &m, bound);
+            let (skeleton, full) = link_bound(&alg, chain.as_ref(), &skeleton_roots, &asserts);
+            cumulative_roots.extend(&skeleton_roots);
             let scratch = CompiledCircuit::compile(&alg.circuit, cumulative_roots.iter().copied());
             assert!(
                 skeleton.same_cnf_modulo_renaming(&scratch),
                 "skeleton chain diverged from scratch at bound {bound}"
             );
-            let asserts: Vec<Vec<Bit>> = m
-                .axioms()
-                .iter()
-                .map(|&ax| minimality_asserts_opts(&mut alg, &m, &st, ax, cfg.orphan_unconstrained))
-                .collect();
-            let mut full = skeleton;
-            for ax_asserts in &asserts {
-                full = CompiledCircuit::extend_definitional(
-                    &full,
-                    &alg.circuit,
-                    ax_asserts.iter().copied(),
-                    true,
-                );
-            }
             cumulative_roots.extend(asserts.iter().flatten());
             let scratch = CompiledCircuit::compile(&alg.circuit, cumulative_roots.iter().copied());
             assert!(
@@ -1823,159 +1478,249 @@ mod tests {
     }
 
     #[test]
-    fn union_up_to_is_byte_identical_across_incremental_and_vault_modes() {
-        // Tentpole acceptance: layered sweep compilation and the
-        // cross-query clause vault may only change how fast the suite is
-        // found, never the suite itself, at any thread count or cube split.
+    fn incremental_sweep_compiles_once_and_reuses_the_skeleton() {
+        // A sweep laid out as one layer chain (the layout the benchmark's
+        // compile layer replays) compiles once: every later link is an
+        // extension that inherits its base's clauses instead of
+        // re-encoding them. The direct sweep compiles every query on its
+        // own and extends nothing.
         let m = Tso::new();
-        let run = |incremental: bool, vault: bool, threads: usize, cube_bits: usize| {
-            let u = synthesize_union_up_to(&m, 2..=3, |n| {
-                SynthConfig::new(n)
-                    .with_threads(threads)
-                    .with_cube_bits(cube_bits)
-                    .with_incremental(incremental)
-                    .with_vault(vault)
-            });
-            suite_bytes(&u)
-        };
-        let baseline = run(false, false, 1, 0);
-        for (incremental, vault, threads, cube_bits) in [
-            (true, false, 1, 0),
-            (true, true, 1, 0),
-            (false, true, 1, 0),
-            (true, true, 2, 1),
-            (true, true, 4, 2),
-        ] {
-            assert_eq!(
-                run(incremental, vault, threads, cube_bits),
-                baseline,
-                "incremental={incremental} vault={vault} \
-                 threads={threads} cube_bits={cube_bits}"
-            );
+        let mut alg = SymAlg::new();
+        let compiles = litsynth_relalg::thread_compilations();
+        let extensions = litsynth_relalg::incremental_extensions();
+        let reused = litsynth_relalg::reused_clauses();
+        let mut chain: Option<CompiledCircuit> = None;
+        for bound in 2..=3usize {
+            let (skeleton_roots, asserts) = chain_roots(&mut alg, &m, bound);
+            chain = Some(link_bound(&alg, chain.as_ref(), &skeleton_roots, &asserts).1);
         }
-    }
-
-    #[test]
-    fn union_up_to_is_byte_identical_with_lazy_on_and_off() {
-        // Lazy definitional propagation — and the mechanisms layered on
-        // it: shelve-and-replay of dormant-cone imports and the two-level
-        // decision domain — may only change how much work the solvers do,
-        // never the suite. Activation only adds constraints the full
-        // formula already contains, a shelved import only prunes, and the
-        // domain only reorders decisions (DESIGN §3b), so the suite is
-        // byte-identical across the whole {lazy} × {shelve} × {domain} ×
-        // {vault} knob matrix at any thread count or cube split.
-        let m = Tso::new();
-        let run = |lazy: bool,
-                   shelve: bool,
-                   domain: bool,
-                   vault: bool,
-                   threads: usize,
-                   cube_bits: usize| {
-            let u = synthesize_union_up_to(&m, 2..=3, |n| {
-                SynthConfig::new(n)
-                    .with_threads(threads)
-                    .with_cube_bits(cube_bits)
-                    .with_lazy(lazy)
-                    .with_shelve(shelve)
-                    .with_domain(domain)
-                    .with_vault(vault)
-                    .with_cross_check(true)
-            });
-            suite_bytes(&u)
-        };
-        let baseline = run(false, false, false, false, 1, 0);
-        for (lazy, shelve, domain, vault, threads, cube_bits) in [
-            // the original lazy legs (defaults now carry shelve+domain on)
-            (true, true, true, true, 1, 0),
-            (true, true, true, true, 2, 1),
-            (true, true, true, true, 4, 2),
-            (false, true, true, true, 2, 1),
-            // each new knob isolated, vault on and off
-            (true, false, true, true, 1, 0),
-            (true, true, false, true, 1, 0),
-            (true, false, false, true, 2, 1),
-            (true, true, true, false, 2, 1),
-            (true, false, true, false, 1, 0),
-            (true, true, false, false, 1, 0),
-            // domain without lazy (eager attach, cone-scoped branching)
-            (false, true, true, false, 1, 0),
-        ] {
-            assert_eq!(
-                run(lazy, shelve, domain, vault, threads, cube_bits),
-                baseline,
-                "lazy={lazy} shelve={shelve} domain={domain} vault={vault} \
-                 threads={threads} cube_bits={cube_bits}"
-            );
-        }
+        assert_eq!(
+            litsynth_relalg::thread_compilations() - compiles,
+            1,
+            "one full compile per chain"
+        );
+        // Two bounds → one definitional link per axiom on the first, and
+        // a skeleton link plus one definitional link per axiom on the
+        // second: 2·A+1 extensions. The process-wide counters may only
+        // over-count, from tests running concurrently in this binary.
+        let expected = 2 * m.axioms().len() as u64 + 1;
+        let extended = litsynth_relalg::incremental_extensions() - extensions;
+        assert!(extended >= expected, "{extended} < {expected}");
+        assert!(
+            litsynth_relalg::reused_clauses() > reused,
+            "extensions must reuse clauses"
+        );
+        let (_, stats) = synthesize_union_up_to_with_stats(&m, 2..=3, SynthConfig::new);
+        assert_eq!(
+            stats.compilations as usize,
+            2 * m.axioms().len(),
+            "the direct sweep compiles once per query"
+        );
+        assert_eq!(stats.extensions, 0);
+        assert_eq!(stats.reused_clauses, 0);
     }
 
     #[test]
     fn union_up_to_is_byte_identical_across_sat_core_toggles() {
-        // The SAT-core modernization matrix: level-0 inprocessing only
-        // removes satisfied/subsumed clauses and false literals, tiered
-        // retention only discards learnt clauses, and the clause arena is
-        // pure storage — all only-prune or storage-only, so the suite is
-        // byte-identical across {inprocess} × {tiered} crossed with the
-        // existing {shelve} × {domain} × {vault} legs at any thread count
+        // The SAT-core matrix: level-0 inprocessing only removes
+        // satisfied/subsumed clauses and false literals, tiered retention
+        // only discards learnt clauses, and the clause arena is pure
+        // storage — all only-prune or storage-only, so the suite is
+        // byte-identical across {inprocess} × {tiered} at any thread count
         // or cube split (DESIGN §3c).
         let m = Tso::new();
-        let run = |inprocess: bool,
-                   tiered: bool,
-                   shelve: bool,
-                   domain: bool,
-                   vault: bool,
-                   threads: usize,
-                   cube_bits: usize| {
+        let run = |inprocess: bool, tiered: bool, threads: usize, cube_bits: usize| {
             let u = synthesize_union_up_to(&m, 2..=3, |n| {
                 SynthConfig::new(n)
                     .with_threads(threads)
                     .with_cube_bits(cube_bits)
                     .with_inprocess(inprocess)
                     .with_tiered(tiered)
-                    .with_shelve(shelve)
-                    .with_domain(domain)
-                    .with_vault(vault)
                     .with_cross_check(true)
             });
             suite_bytes(&u)
         };
         // Everything off, sequential: the legacy core.
-        let baseline = run(false, false, false, false, false, 1, 0);
-        for (inprocess, tiered, shelve, domain, vault, threads, cube_bits) in [
-            // each new knob isolated on the sequential path
-            (true, false, false, false, false, 1, 0),
-            (false, true, false, false, false, 1, 0),
+        let baseline = run(false, false, 1, 0);
+        for (inprocess, tiered, threads, cube_bits) in [
+            // each knob isolated on the sequential path
+            (true, false, 1, 0),
+            (false, true, 1, 0),
             // both on (the default core), sequential and parallel
-            (true, true, false, false, false, 1, 0),
-            (true, true, true, true, true, 1, 0),
-            (true, true, true, true, true, 4, 2),
-            // modern core against individual portfolio knobs
-            (true, true, false, true, true, 2, 1),
-            (true, true, true, false, true, 2, 1),
-            (true, true, true, true, false, 2, 1),
-            // legacy core under the full portfolio stack
-            (false, false, true, true, true, 4, 2),
+            (true, true, 1, 0),
+            (true, true, 2, 1),
+            (true, true, 4, 2),
+            // legacy core split and parallel
+            (false, false, 4, 2),
         ] {
             assert_eq!(
-                run(inprocess, tiered, shelve, domain, vault, threads, cube_bits),
+                run(inprocess, tiered, threads, cube_bits),
                 baseline,
-                "inprocess={inprocess} tiered={tiered} shelve={shelve} \
-                 domain={domain} vault={vault} threads={threads} cube_bits={cube_bits}"
+                "inprocess={inprocess} tiered={tiered} threads={threads} cube_bits={cube_bits}"
             );
         }
     }
 
     #[test]
+    fn union_up_to_is_byte_identical_across_incremental_and_vault_modes() {
+        // Layered sweep compilation and the cross-query clause vault are
+        // gone: every query compiles and solves on its own, the mode this
+        // test always took as its baseline. What remains to pin is that a
+        // sweep's suite does not depend on how its queries are grouped —
+        // it equals per-bound `synthesize_union` runs and per-query
+        // `synthesize_axiom` runs merged in (bound, axiom) order, at any
+        // thread count or cube split.
+        let m = Tso::new();
+        let cfg = |n: usize, threads: usize, cube_bits: usize| {
+            SynthConfig::new(n)
+                .with_threads(threads)
+                .with_cube_bits(cube_bits)
+        };
+        let baseline = suite_bytes(&synthesize_union_up_to(&m, 2..=3, |n| cfg(n, 1, 0)));
+        for (threads, cube_bits) in [(1, 0), (2, 1), (4, 2)] {
+            let leg = format!("threads={threads} cube_bits={cube_bits}");
+            if (threads, cube_bits) != (1, 0) {
+                let swept = synthesize_union_up_to(&m, 2..=3, |n| cfg(n, threads, cube_bits));
+                assert_eq!(suite_bytes(&swept), baseline, "sweep {leg}");
+            }
+            let per_bound: Vec<CanonicalSuite> = (2..=3)
+                .map(|n| synthesize_union(&m, &cfg(n, threads, cube_bits)).1)
+                .collect();
+            let merged = merge_unit_suites(&per_bound);
+            assert_eq!(suite_bytes(&merged), baseline, "per bound {leg}");
+            let per_query: Vec<SynthResult> = (2..=3)
+                .flat_map(|n| {
+                    let m = &m;
+                    m.axioms()
+                        .iter()
+                        .map(move |ax| synthesize_axiom(m, ax, &cfg(n, threads, cube_bits)))
+                })
+                .collect();
+            let merged = merge_unit_suites(per_query.iter().map(|r| &r.tests));
+            assert_eq!(suite_bytes(&merged), baseline, "per query {leg}");
+        }
+    }
+
+    /// `M` with roots-first branching forced on or off; everything else
+    /// is `M`'s own.
+    struct RootsFirst<M> {
+        inner: M,
+        on: bool,
+    }
+
+    impl<M: MemoryModel> MemoryModel for RootsFirst<M> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn axioms(&self) -> &'static [&'static str] {
+            self.inner.axioms()
+        }
+        fn axiom<A: RelAlg>(&self, alg: &mut A, ctx: &Ctx<A>, axiom: &str) -> A::B {
+            self.inner.axiom(alg, ctx, axiom)
+        }
+        fn valid<A: RelAlg>(&self, alg: &mut A, ctx: &Ctx<A>) -> A::B {
+            self.inner.valid(alg, ctx)
+        }
+        fn synthesis_axiom<A: RelAlg>(&self, alg: &mut A, ctx: &Ctx<A>, axiom: &str) -> A::B {
+            self.inner.synthesis_axiom(alg, ctx, axiom)
+        }
+        fn synthesis_valid<A: RelAlg>(&self, alg: &mut A, ctx: &Ctx<A>) -> A::B {
+            self.inner.synthesis_valid(alg, ctx)
+        }
+        fn roots_first(&self) -> bool {
+            self.on
+        }
+        fn check_specs(&self, test: &LitmusTest, ctx: &Ctx<ConcreteAlg>) -> Vec<AxiomSpec> {
+            self.inner.check_specs(test, ctx)
+        }
+        fn fence_kinds(&self) -> &'static [FenceKind] {
+            self.inner.fence_kinds()
+        }
+        fn read_orders(&self) -> &'static [MemOrder] {
+            self.inner.read_orders()
+        }
+        fn write_orders(&self) -> &'static [MemOrder] {
+            self.inner.write_orders()
+        }
+        fn rmw_orders(&self) -> &'static [MemOrder] {
+            self.inner.rmw_orders()
+        }
+        fn dep_kinds(&self) -> &'static [DepKind] {
+            self.inner.dep_kinds()
+        }
+        fn uses_rmw_pairs(&self) -> bool {
+            self.inner.uses_rmw_pairs()
+        }
+        fn uses_sc_order(&self) -> bool {
+            self.inner.uses_sc_order()
+        }
+        fn relaxations(&self) -> Vec<RelaxKind> {
+            self.inner.relaxations()
+        }
+        fn fence_demotions(&self, kind: FenceKind) -> Vec<FenceKind> {
+            self.inner.fence_demotions(kind)
+        }
+        fn order_demotions(&self, instr: Instr) -> Vec<MemOrder> {
+            self.inner.order_demotions(instr)
+        }
+        fn instr_wellformed(&self, instr: Instr) -> bool {
+            self.inner.instr_wellformed(instr)
+        }
+    }
+
+    #[test]
+    fn union_up_to_is_byte_identical_with_lazy_on_and_off() {
+        // Of the lazy-attach family — dormant definitional cones, the
+        // shelving of imports over them, and the decision domain — only
+        // the domain remains, as the per-model roots-first rule
+        // (`MemoryModel::roots_first`). It only reorders decisions, so
+        // flipping it either way must leave the suite byte-identical, at
+        // any thread count or cube split.
+        fn run<M: MemoryModel + Sync>(m: &M, threads: usize, cube_bits: usize) -> (String, u64) {
+            let (u, s) = synthesize_union_up_to_with_stats(m, 2..=3, |n| {
+                SynthConfig::new(n)
+                    .with_threads(threads)
+                    .with_cube_bits(cube_bits)
+                    .with_cross_check(true)
+            });
+            (suite_bytes(&u), s.domain_decisions)
+        }
+        for (threads, cube_bits) in [(1, 0), (2, 1)] {
+            let leg = format!("threads={threads} cube_bits={cube_bits}");
+            let (tso, off) = run(&Tso::new(), threads, cube_bits);
+            let flipped = RootsFirst {
+                inner: Tso::new(),
+                on: true,
+            };
+            let (tso_on, on) = run(&flipped, threads, cube_bits);
+            assert_eq!(off, 0, "TSO {leg}");
+            assert!(on > 0, "forced roots-first TSO must branch on roots, {leg}");
+            assert_eq!(tso_on, tso, "TSO {leg}");
+            let (power, on) = run(&Power::new(), threads, cube_bits);
+            let flipped = RootsFirst {
+                inner: Power::new(),
+                on: false,
+            };
+            let (power_off, off) = run(&flipped, threads, cube_bits);
+            assert!(on > 0, "Power {leg}");
+            assert_eq!(off, 0, "Power {leg}");
+            assert_eq!(power_off, power, "Power {leg}");
+        }
+    }
+
+    #[test]
     fn sweep_reports_inprocessing_counters_when_enabled() {
-        // The new counters must roll all the way up: with the default
-        // config (inprocessing on) a sweep records purged clauses, and
-        // with the knob off every inprocessing counter is exactly zero.
+        // The counters must roll all the way up: with the default config
+        // (inprocessing on) a sweep records the subsumption leg's work,
+        // and with the knob off every inprocessing counter is exactly
+        // zero. (The satisfied-clause purge finds nothing on a fresh
+        // solver at these bounds: no level-0 fact satisfies a blocking
+        // clause, so `simplify_removed` reads 0 either way.)
         let m = Tso::new();
         let (_, s_on) = synthesize_union_up_to_with_stats(&m, 2..=3, SynthConfig::new);
         assert!(
-            s_on.simplify_removed > 0,
-            "inprocessing enabled but nothing purged across a sweep"
+            s_on.subsumed + s_on.strengthened > 0,
+            "inprocessing enabled but nothing subsumed or strengthened across a sweep"
         );
         let (_, s_off) = synthesize_union_up_to_with_stats(&m, 2..=3, |n| {
             SynthConfig::new(n).with_inprocess(false)
@@ -1986,74 +1731,75 @@ mod tests {
     }
 
     #[test]
-    fn lazy_attach_reduces_sweep_propagations() {
-        // The tentpole perf claim, in miniature: on a sequential
-        // incremental sweep, leaving sibling axioms' definitional cones
-        // dormant must strictly reduce total unit propagations while
-        // finding the identical suite.
-        let m = Tso::new();
-        let run = |lazy: bool| {
-            synthesize_union_up_to_with_stats(&m, 2..=3, |n| {
-                SynthConfig::new(n).with_lazy(lazy).with_vault(false)
-            })
-        };
-        let (u_lazy, s_lazy) = run(true);
-        let (u_eager, s_eager) = run(false);
-        assert_eq!(suite_bytes(&u_lazy), suite_bytes(&u_eager));
-        assert!(s_lazy.propagations > 0, "counters must be recorded");
-        assert!(s_lazy.decisions > 0, "counters must be recorded");
-        assert!(
-            s_lazy.propagations < s_eager.propagations,
-            "lazy {} !< eager {}",
-            s_lazy.propagations,
-            s_eager.propagations
-        );
-    }
-
-    #[test]
     fn sweep_reports_domain_decisions_when_enabled() {
-        // A silently disabled domain must be visible: with the default
-        // config (incremental + domain on) the local-level decision
-        // counter is non-zero and bounded by total decisions; with the
-        // knob off it is exactly zero.
-        let m = Tso::new();
-        let (_, s_on) = synthesize_union_up_to_with_stats(&m, 2..=3, SynthConfig::new);
+        // Roots-first branching is a property of the model: a Power sweep
+        // serves some decisions from the declared roots (bounded by the
+        // total), a TSO sweep none.
+        let (_, power) = synthesize_union_up_to_with_stats(&Power::new(), 2..=3, SynthConfig::new);
         assert!(
-            s_on.domain_decisions > 0,
-            "domain enabled but no local decisions recorded"
+            power.domain_decisions > 0,
+            "Power branches roots-first but no root decisions were recorded"
         );
-        assert!(s_on.domain_decisions <= s_on.decisions);
-        let (_, s_off) = synthesize_union_up_to_with_stats(&m, 2..=3, |n| {
-            SynthConfig::new(n).with_domain(false)
-        });
-        assert_eq!(s_off.domain_decisions, 0);
+        assert!(power.domain_decisions <= power.decisions);
+        let (_, tso) = synthesize_union_up_to_with_stats(&Tso::new(), 2..=3, SynthConfig::new);
+        assert!(tso.decisions > 0);
+        assert_eq!(tso.domain_decisions, 0);
     }
 
     #[test]
-    fn incremental_sweep_compiles_once_and_reuses_the_skeleton() {
-        let m = Tso::new();
-        let (u_inc, s_inc) = synthesize_union_up_to_with_stats(&m, 2..=3, SynthConfig::new);
-        let (u_mono, s_mono) = synthesize_union_up_to_with_stats(&m, 2..=3, |n| {
-            SynthConfig::new(n)
-                .with_incremental(false)
-                .with_vault(false)
-        });
-        assert_eq!(suite_bytes(&u_inc), suite_bytes(&u_mono));
-        assert_eq!(s_inc.compilations, 1, "one full compile per sweep");
-        // Two participating bounds → one definitional link per axiom on
-        // the first and a skeleton link plus one definitional link per
-        // axiom on the second, i.e. 2·A+1 extensions (the global counter
-        // may only over-count, from tests running concurrently in this
-        // binary).
-        let expected = 2 * m.axioms().len() as u64 + 1;
-        assert!(s_inc.extensions >= expected, "{}", s_inc.extensions);
-        assert!(s_inc.reused_clauses > 0, "extensions must reuse clauses");
-        assert_eq!(
-            s_mono.compilations as usize,
-            2 * m.axioms().len(),
-            "monolithic mode compiles once per query"
+    fn direct_sweep_and_served_units_do_identical_work() {
+        // One path: a direct sweep and the served per-unit path run every
+        // query the same way, so they emit the same bytes *and* do the
+        // same solver work, for every model.
+        fn check<M: MemoryModel + Sync>(m: &M, hi: usize) {
+            let (direct, stats) = synthesize_union_up_to_with_stats(m, 2..=hi, SynthConfig::new);
+            let plans = plan_units(m, 2..=hi, SynthConfig::new);
+            let results: Vec<SynthResult> = plans.iter().map(|p| run_unit(m, p)).collect();
+            let served = merge_unit_suites(results.iter().map(|r| &r.tests));
+            assert_eq!(suite_bytes(&direct), suite_bytes(&served), "{}", m.name());
+            let props: u64 = results.iter().map(|r| r.propagations).sum();
+            let decs: u64 = results.iter().map(|r| r.decisions).sum();
+            assert_eq!(stats.propagations, props, "{} propagations", m.name());
+            assert_eq!(stats.decisions, decs, "{} decisions", m.name());
+            assert!(props > 0, "{}", m.name());
+        }
+        check(&Sc::new(), 3);
+        check(&Tso::new(), 3);
+        check(&Power::new(), 3);
+        check(&Power::armv7(), 3);
+        check(&Scc::new(), 3);
+        check(&C11::new(), 3);
+    }
+
+    #[test]
+    fn progress_elapsed_is_the_query_wall_time() {
+        // A sweep's progress event carries the query's own wall time,
+        // which covers at least its workers' time (one thread: they run
+        // back to back inside it).
+        use crate::symbolic::{ProgressEvent, ProgressSink};
+        let events: Arc<std::sync::Mutex<Vec<ProgressEvent>>> = Arc::default();
+        let sink = {
+            let events = events.clone();
+            ProgressSink::new(move |e| events.lock().unwrap().push(e.clone()))
+        };
+        let cfgs = (2..=4)
+            .map(|n| SynthConfig::new(n).with_progress(Some(sink.clone())))
+            .collect();
+        let (_, _, per_bound) = sweep(&Tso::new(), cfgs);
+        let r = &per_bound[2]["causality"];
+        let workers: Duration = r.workers.iter().map(|w| w.elapsed).sum();
+        assert!(workers > Duration::ZERO);
+        let got = events.lock().unwrap();
+        let e = got
+            .iter()
+            .find(|e| e.key == "tso/causality/4")
+            .expect("one event per query");
+        assert_eq!(e.elapsed, r.elapsed);
+        assert!(
+            e.elapsed >= workers,
+            "event {:?} < worker time {workers:?}",
+            e.elapsed
         );
-        assert_eq!(s_mono.vault, VaultStats::default());
     }
 
     #[test]

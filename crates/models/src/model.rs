@@ -95,6 +95,16 @@ pub trait MemoryModel {
         alg.and_many(bs)
     }
 
+    /// Whether synthesis should branch on each query's roots first: the
+    /// instruction-kind selectors, the observables and the minimality
+    /// asserts are decided before the solver's global VSIDS order takes
+    /// over. It only reorders decisions, so suites are identical either
+    /// way; it is a property of the model because it pays on some
+    /// encodings and costs on others (DESIGN.md §3a). Off by default.
+    fn roots_first(&self) -> bool {
+        false
+    }
+
     /// The saturation interface of this model's axioms for the polynomial
     /// consistency checker (`crate::check`): which acyclicity requirements
     /// can *force* coherence edges for a fixed rf choice.

@@ -176,6 +176,10 @@ impl MemoryModel for Power {
         &["sc_per_loc", "no_thin_air", "observation", "propagation"]
     }
 
+    fn roots_first(&self) -> bool {
+        true
+    }
+
     fn axiom<A: RelAlg>(&self, alg: &mut A, ctx: &Ctx<A>, axiom: &str) -> A::B {
         match axiom {
             "sc_per_loc" => {

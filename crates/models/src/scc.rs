@@ -88,6 +88,10 @@ impl MemoryModel for Scc {
         &["sc_per_loc", "no_thin_air", "rmw_atomicity", "causality"]
     }
 
+    fn roots_first(&self) -> bool {
+        true
+    }
+
     fn axiom<A: RelAlg>(&self, alg: &mut A, ctx: &Ctx<A>, axiom: &str) -> A::B {
         match axiom {
             "sc_per_loc" => {

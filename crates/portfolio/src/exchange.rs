@@ -22,14 +22,6 @@
 //! prunes search, and provably nothing else. (If an import does make a
 //! worker's formula unsatisfiable, that cube genuinely had no remaining
 //! models.)
-//!
-//! Lazily attached workers (`CompiledQuery::attach_lazy`) add one wrinkle:
-//! a fetched clause may mention gate variables of a definitional cone the
-//! importer has never activated. The solver treats such clauses as absent
-//! — it silently drops them at import time rather than waking the cone —
-//! which keeps the dormant-cone saving and stays sound by the same
-//! argument: an import can only prune, so *not* installing one changes no
-//! enumeration result.
 
 use litsynth_sat::{ClauseExchange, Lit};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -77,14 +69,10 @@ pub struct ExchangeStats {
     pub filtered: u64,
 }
 
-/// One clause on the bus: who published it, its literals, the LBD its
-/// sender reported, and whether it is skeleton-pure (derived from
-/// skeleton-tagged layers alone — see [`litsynth_sat::ClauseExchange`]).
-/// The LBD travels with the clause so importing solvers file it in the
-/// right retention tier before its first use, and purity travels so
-/// importers keep propagating it and the cross-query vault can harvest
-/// pure clauses downstream.
-type PooledClause = (usize, Arc<[Lit]>, u32, bool);
+/// One clause on the bus: who published it, its literals, and the LBD its
+/// sender reported. The LBD travels with the clause so importing solvers
+/// file it in the right retention tier before its first use.
+type PooledClause = (usize, Arc<[Lit]>, u32);
 
 /// The shared clause pool for one query's cube workers.
 #[derive(Debug, Default)]
@@ -148,7 +136,7 @@ impl ExchangeEndpoint {
 }
 
 impl ClauseExchange for ExchangeEndpoint {
-    fn export(&mut self, lits: &[Lit], lbd: u32, skeleton: bool) {
+    fn export(&mut self, lits: &[Lit], lbd: u32) {
         let cfg = &self.bus.cfg;
         if !cfg.enabled {
             return;
@@ -162,18 +150,18 @@ impl ClauseExchange for ExchangeEndpoint {
             self.stats.filtered += 1;
             return;
         }
-        pool.push((self.worker, lits.into(), lbd, skeleton));
+        pool.push((self.worker, lits.into(), lbd));
         self.stats.exported += 1;
     }
 
-    fn fetch(&mut self, out: &mut Vec<(Vec<Lit>, u32, bool)>) {
+    fn fetch(&mut self, out: &mut Vec<(Vec<Lit>, u32)>) {
         if !self.bus.cfg.enabled || !self.imports_enabled {
             return;
         }
         let pool = lock_pool(&self.bus.pool);
-        for (owner, clause, lbd, pure) in &pool[self.cursor..] {
+        for (owner, clause, lbd) in &pool[self.cursor..] {
             if *owner != self.worker {
-                out.push((clause.to_vec(), *lbd, *pure));
+                out.push((clause.to_vec(), *lbd));
                 self.stats.imported += 1;
             }
         }
@@ -195,11 +183,11 @@ mod tests {
         let bus = ExchangeBus::new(ExchangeConfig::default());
         let mut a = bus.endpoint(0);
         let mut b = bus.endpoint(1);
-        a.export(&[lit(0), lit(1)], 2, true);
-        b.export(&[lit(2), lit(3)], 2, false);
+        a.export(&[lit(0), lit(1)], 2);
+        b.export(&[lit(2), lit(3)], 2);
         let mut got = Vec::new();
         a.fetch(&mut got);
-        assert_eq!(got, vec![(vec![lit(2), lit(3)], 2, false)]);
+        assert_eq!(got, vec![(vec![lit(2), lit(3)], 2)]);
         got.clear();
         a.fetch(&mut got);
         assert!(got.is_empty(), "cursor must advance past seen clauses");
@@ -207,8 +195,8 @@ mod tests {
         b.fetch(&mut got);
         assert_eq!(
             got,
-            vec![(vec![lit(0), lit(1)], 2, true)],
-            "LBD and purity travel with the clause"
+            vec![(vec![lit(0), lit(1)], 2)],
+            "the LBD travels with the clause"
         );
         assert_eq!(a.stats().exported, 1);
         assert_eq!(a.stats().imported, 1);
@@ -224,9 +212,9 @@ mod tests {
         };
         let bus = ExchangeBus::new(cfg);
         let mut a = bus.endpoint(0);
-        a.export(&[lit(0), lit(1)], 5, false); // LBD too high
-        a.export(&[lit(0), lit(1), lit(2), lit(3)], 1, false); // too long
-        a.export(&[lit(0), lit(1)], 2, false); // admitted
+        a.export(&[lit(0), lit(1)], 5); // LBD too high
+        a.export(&[lit(0), lit(1), lit(2), lit(3)], 1); // too long
+        a.export(&[lit(0), lit(1)], 2); // admitted
         assert_eq!(a.stats().exported, 1);
         assert_eq!(a.stats().filtered, 2);
         assert_eq!(bus.pooled(), 1);
@@ -241,7 +229,7 @@ mod tests {
         let bus = ExchangeBus::new(cfg);
         let mut a = bus.endpoint(0);
         for i in 0..5 {
-            a.export(&[lit(i), lit(i + 1)], 1, false);
+            a.export(&[lit(i), lit(i + 1)], 1);
         }
         assert_eq!(bus.pooled(), 2);
         assert_eq!(a.stats().exported, 2);
@@ -254,19 +242,15 @@ mod tests {
         let mut a = bus.endpoint(0);
         let mut b = bus.endpoint(1);
         b.disable_imports();
-        a.export(&[lit(0), lit(1)], 1, false);
-        b.export(&[lit(2), lit(3)], 1, false);
+        a.export(&[lit(0), lit(1)], 1);
+        b.export(&[lit(2), lit(3)], 1);
         let mut got = Vec::new();
         b.fetch(&mut got);
         assert!(got.is_empty(), "imports disabled");
         assert_eq!(b.stats().imported, 0);
         got.clear();
         a.fetch(&mut got);
-        assert_eq!(
-            got,
-            vec![(vec![lit(2), lit(3)], 1, false)],
-            "exports still flow"
-        );
+        assert_eq!(got, vec![(vec![lit(2), lit(3)], 1)], "exports still flow");
     }
 
     #[test]
@@ -278,7 +262,7 @@ mod tests {
         let bus = ExchangeBus::new(cfg);
         let mut a = bus.endpoint(0);
         let mut b = bus.endpoint(1);
-        a.export(&[lit(0), lit(1)], 1, false);
+        a.export(&[lit(0), lit(1)], 1);
         let mut got = Vec::new();
         b.fetch(&mut got);
         assert!(got.is_empty());

@@ -21,10 +21,7 @@
 //!   by every model remaining in the others (see [`exchange`] for the full
 //!   argument) — so the exchange prunes search but can never change the
 //!   enumerated model set, keeping suites byte-identical to the sequential
-//!   path. On lazily attached workers the import path is cone-aware:
-//!   clauses over still-dormant cones shelve inside the receiving solver
-//!   and replay on activation, so laziness never forfeits bus or
-//!   [`vault`] pruning.
+//!   path.
 //! * **Pick cubes adaptively** — a short probing run samples VSIDS
 //!   activity and [`cube::rank_pins`] splits on the bits the solver
 //!   actually branches on, instead of the first `b` slots.
@@ -43,11 +40,9 @@ pub mod pool;
 pub mod query;
 pub mod resilient;
 pub mod unit;
-pub mod vault;
 
 pub use exchange::{ExchangeBus, ExchangeConfig, ExchangeEndpoint, ExchangeStats};
 pub use pool::{resolve_threads, run_ordered};
 pub use query::{CompiledQuery, CubeConfig};
 pub use resilient::{run_resilient, Attempt, RetryConfig, TaskReport};
 pub use unit::{StealQueue, StealStats, WorkUnit};
-pub use vault::{ClauseVault, VaultConfig, VaultStats, VaultedExchange};

@@ -2,7 +2,6 @@
 
 use crate::cube::rank_pins;
 use litsynth_relalg::{Bit, Circuit, CompiledCircuit, Finder};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How cube pins are chosen for a [`CompiledQuery`].
@@ -33,8 +32,8 @@ impl Default for CubeConfig {
 /// solver over the shared clause arena.
 #[derive(Debug)]
 pub struct CompiledQuery {
-    circuit: Arc<Circuit>,
-    compiled: Arc<CompiledCircuit>,
+    circuit: Circuit,
+    compiled: CompiledCircuit,
     pins: Vec<Bit>,
     probe: Duration,
 }
@@ -60,27 +59,7 @@ impl CompiledQuery {
             .chain(candidates)
             .copied()
             .collect();
-        let compiled = Arc::new(CompiledCircuit::compile(&circuit, roots));
-        CompiledQuery::from_compiled(Arc::new(circuit), compiled, asserts, candidates, cube)
-    }
-
-    /// Builds a query around an existing compilation — the incremental
-    /// path: `compiled` is typically a link of a sweep-shared layer chain
-    /// ([`litsynth_relalg::CompiledCircuit::extend`]), `Arc`-shared across
-    /// every query that runs over the same formula (queries then differ
-    /// only in their assumption literals), and the circuit arena is shared
-    /// by `Arc` across every query of the sweep.
-    ///
-    /// `compiled`'s roots must cover `asserts`, the observables, and
-    /// `candidates`, exactly as [`CompiledQuery::build`] would compile
-    /// them; only pin ranking (the probing run) happens here.
-    pub fn from_compiled(
-        circuit: Arc<Circuit>,
-        compiled: Arc<CompiledCircuit>,
-        asserts: &[Bit],
-        candidates: &[Bit],
-        cube: &CubeConfig,
-    ) -> CompiledQuery {
+        let compiled = CompiledCircuit::compile(&circuit, roots);
         let probe_conflicts = if cube.adaptive {
             cube.probe_conflicts
         } else {
@@ -109,21 +88,6 @@ impl CompiledQuery {
     /// A fresh private finder over the shared clause arena.
     pub fn attach(&self) -> Finder {
         Finder::attach(&self.compiled)
-    }
-
-    /// Like [`CompiledQuery::attach`], but definitional layers of the
-    /// shared arena start dormant and are watcher-installed only when the
-    /// worker's assumptions or blocking clauses first reference them
-    /// ([`Finder::attach_lazy`]). On a sweep-shared chain carrying one
-    /// definitional layer per axiom this spares each worker the
-    /// propagation tax of every *other* query's Tseitin cones while
-    /// enumerating exactly the same instance set. Exchange and vault
-    /// imports that touch a still-dormant cone are shelved and replayed
-    /// on activation ([`Finder::set_shelving`]), and branching can be
-    /// scoped to the declared cone via the two-level decision domain
-    /// ([`Finder::set_domain_enabled`]).
-    pub fn attach_lazy(&self) -> Finder {
-        Finder::attach_lazy(&self.compiled)
     }
 
     /// Number of distinct pinnable bits available for cube splitting.

@@ -7,11 +7,7 @@
 //! reported [`TaskReport::degraded`] instead of poisoning the pool or
 //! aborting the run. The caller decides what an attempt means — typically
 //! a fresh solver per attempt, with exchange imports disabled on the last
-//! one so the final try is maximally independent of peer timing (on a
-//! lazily attached solver that also stops *new* clauses reaching the
-//! import shelf; clauses shelved by earlier attempts are part of the
-//! solver's database like any already-imported clause and replay as
-//! usual — replays only prune, so they cannot wedge the final try).
+//! one so the final try is maximally independent of peer timing.
 
 use crate::pool::run_ordered;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -89,9 +89,8 @@ impl CompiledCircuit {
 
     /// [`CompiledCircuit::compile`] with an explicit provenance tag for the
     /// built CNF layer: `skeleton == true` marks the formula as
-    /// axiom-independent structural skeleton, which makes it eligible both
-    /// as a base for [`CompiledCircuit::extend`] chains and as an anchor
-    /// for cross-query clause reuse (see the portfolio crate's vault).
+    /// axiom-independent structural skeleton (layer metadata; see
+    /// [`litsynth_sat::CnfLayer::is_skeleton`]).
     pub fn compile_tagged<I: IntoIterator<Item = Bit>>(
         c: &Circuit,
         roots: I,
@@ -133,8 +132,8 @@ impl CompiledCircuit {
 
     /// [`CompiledCircuit::extend`], additionally tagging the new layer
     /// *definitional* ([`litsynth_sat::CnfLayer::is_definitional`]): a
-    /// pure Tseitin cone a lazy solver may leave dormant until the query
-    /// references one of its variables. The tag's promise — every clause
+    /// pure Tseitin cone that [`litsynth_sat::SharedCnf::cone_vars`] walks
+    /// gate by gate. The tag's promise — every clause
     /// mentions a layer-own gate variable, and those gates are functions
     /// of earlier variables — holds for any `translate_cones` output by
     /// construction: each emitted clause names the fresh variable it
@@ -434,7 +433,7 @@ mod tests {
         let plain = CompiledCircuit::extend(&base, &c, [xy], true);
         assert_eq!(ext.num_vars(), plain.num_vars());
         assert_eq!(ext.num_clauses(), plain.num_clauses());
-        let mut f = Finder::attach_lazy(&ext);
+        let mut f = Finder::attach(&ext);
         assert!(f.next_instance(&c, &[xy]).is_some());
     }
 

@@ -123,23 +123,6 @@ impl Finder {
         }
     }
 
-    /// [`Finder::attach`], but via [`Solver::attach_shared_lazy`]: the
-    /// arena's definitional layers (see
-    /// [`CompiledCircuit::extend_definitional`]) stay dormant until this
-    /// finder's assumptions, blocking clauses, or demand-translated bits
-    /// reference one of their variables. Dormant cones cost no watchers
-    /// and no propagation; activation only adds constraints the full
-    /// formula already contains, so the enumerated instance set is
-    /// identical to an eager attach.
-    pub fn attach_lazy(compiled: &CompiledCircuit) -> Finder {
-        Finder {
-            solver: Solver::attach_shared_lazy(compiled.cnf().clone()),
-            node_var: compiled.node_var().to_vec(),
-            const_true: compiled.const_true(),
-            input_of_var: compiled.input_of_var().to_vec(),
-        }
-    }
-
     /// Statistics from the underlying SAT solver.
     pub fn solver_stats(&self) -> litsynth_sat::SolverStats {
         self.solver.stats()
@@ -147,11 +130,9 @@ impl Finder {
 
     /// Seeds the solver's branching order with the cones of `roots`: every
     /// already-compiled variable reachable from them gets one initial
-    /// activity bump. On a formula attached from a shared multi-query
-    /// compilation this steers the first decisions into the cone *this*
-    /// finder's query constrains instead of plain variable-index order
-    /// (which would start in whatever layer was compiled first). Purely a
-    /// search-order hint: the set of satisfying instances is untouched.
+    /// activity bump, so the first decisions favor the query's own cone
+    /// over plain variable-index order. Purely a search-order hint: the
+    /// set of satisfying instances is untouched.
     pub fn warm<I: IntoIterator<Item = Bit>>(&mut self, c: &Circuit, roots: I) {
         let mut seen = vec![false; c.num_nodes().min(self.node_var.len())];
         let mut stack: Vec<usize> = roots
@@ -182,42 +163,19 @@ impl Finder {
         self.solver.num_vars()
     }
 
-    /// Shared-arena layers this finder's solver has activated (all of
-    /// them on an eager attach; see [`Finder::attach_lazy`]).
-    pub fn active_layer_count(&self) -> usize {
-        self.solver.active_layer_count()
-    }
-
-    /// CNF variables with watchers live (all of them on an eager attach;
-    /// the demand-activated subset after [`Finder::attach_lazy`]).
-    pub fn active_var_count(&self) -> usize {
-        self.solver.active_var_count()
-    }
-
-    /// Declares the cone roots this finder is about to enumerate under
-    /// (see [`litsynth_sat::Solver::declare_roots`]): on a lazily
-    /// attached solver, activates the bits' defining cones now, so that
-    /// pruning clauses seeded *before* the first solve — a vault fetch,
-    /// an exchange drain — install immediately instead of passing
-    /// through the shelve-and-replay path; and, when the decision domain
-    /// is enabled ([`Finder::set_domain_enabled`]), rebuilds the local
-    /// decision domain as this query's cone. No-op on an eager attach
-    /// with the domain off.
+    /// Declares the roots this finder is about to enumerate under (see
+    /// [`litsynth_sat::Solver::declare_roots`]): with roots-first
+    /// branching enabled ([`Finder::set_domain_enabled`]), solves branch
+    /// on the roots' variables first.
     pub fn declare_roots(&mut self, c: &Circuit, bits: &[Bit]) {
         let lits: Vec<Lit> = bits.iter().map(|&b| self.lit_of(c, b)).collect();
         self.solver.declare_roots(lits);
     }
 
-    /// Controls shelve-and-replay of exchange/vault imports over dormant
-    /// cones (see [`litsynth_sat::Solver::set_shelving`]; default on).
-    pub fn set_shelving(&mut self, on: bool) {
-        self.solver.set_shelving(on);
-    }
-
-    /// Enables the two-level decision domain (see
+    /// Enables roots-first branching (see
     /// [`litsynth_sat::Solver::set_domain_enabled`]; default off): after
     /// the next [`Finder::declare_roots`], solves branch on the declared
-    /// cone first and fall back to global VSIDS once it is exhausted.
+    /// roots first and fall back to global VSIDS once they are assigned.
     pub fn set_domain_enabled(&mut self, on: bool) {
         self.solver.set_domain_enabled(on);
     }
@@ -315,56 +273,6 @@ impl Finder {
     /// only this call; blocking clauses added via [`Finder::block`] persist.
     pub fn next_instance(&mut self, c: &Circuit, asserts: &[Bit]) -> Option<Instance> {
         self.next_instance_exchanging(c, asserts, &mut NoExchange)
-    }
-
-    /// Allocates a fresh activation guard for one enumeration pass.
-    ///
-    /// A guard is a solver literal with no circuit meaning. Blocking
-    /// clauses added under it ([`Finder::block_guarded`]) take the form
-    /// `¬guard ∨ block`, so they constrain the search only while the guard
-    /// is assumed — which the enumeration loop does by passing the guard in
-    /// `extra` to [`Finder::next_instance_budgeted_assuming`]. Once a pass
-    /// is over and its guard is never assumed again, its blocking clauses
-    /// (and everything the solver derived from them, which necessarily
-    /// carries `¬guard`) become inert, so the *same live solver* can serve
-    /// a different query of the identical formula and still enumerate that
-    /// query's full instance set — while keeping every clause it learnt
-    /// from the formula alone. That is the whole point: incremental SAT
-    /// across queries instead of a cold solver per query.
-    pub fn new_guard(&mut self) -> Lit {
-        let v = self.solver.new_var();
-        self.input_of_var.push(None);
-        Lit::pos(v)
-    }
-
-    /// Retires an activation guard that will never be assumed again: the
-    /// unit clause `¬guard` is added, which satisfies — permanently, at
-    /// level 0 — every blocking clause the guard enclosed and every learnt
-    /// derived from them (all carry `¬guard`), so the next inprocessing
-    /// pass physically purges them from a pooled solver instead of leaving
-    /// them as inert dead weight. Sound because the guard variable occurs
-    /// only negatively outside the finished pass's assumptions: asserting
-    /// `¬guard` can satisfy clauses but never falsify one, and no future
-    /// pass observes or assumes it.
-    pub fn retire_guard(&mut self, guard: Lit) {
-        self.solver.add_clause([!guard]);
-    }
-
-    /// [`Finder::next_instance_budgeted`] with extra assumption literals —
-    /// typically one activation guard from [`Finder::new_guard`].
-    pub fn next_instance_budgeted_assuming(
-        &mut self,
-        c: &Circuit,
-        asserts: &[Bit],
-        extra: &[Lit],
-        exchange: &mut dyn ClauseExchange,
-        budget: &SolveBudget,
-    ) -> Result<Option<Instance>, Interrupt> {
-        let Some(mut assumptions) = self.assumptions_for(c, asserts) else {
-            return Ok(None);
-        };
-        assumptions.extend_from_slice(extra);
-        self.solve_assuming(c, &assumptions, exchange, budget)
     }
 
     /// [`Finder::next_instance`] with learnt-clause exchange: the solver
@@ -474,19 +382,6 @@ impl Finder {
     /// Permanently excludes every instance that agrees with `inst` on all of
     /// the `observed` bits.
     pub fn block(&mut self, c: &Circuit, inst: &Instance, observed: &[Bit]) {
-        self.block_guarded(c, inst, observed, None);
-    }
-
-    /// [`Finder::block`] under an activation guard: the blocking clause is
-    /// `¬guard ∨ block`, active only while `guard` is assumed (see
-    /// [`Finder::new_guard`]). `None` blocks unconditionally.
-    pub fn block_guarded(
-        &mut self,
-        c: &Circuit,
-        inst: &Instance,
-        observed: &[Bit],
-        guard: Option<Lit>,
-    ) {
         let live: Vec<Bit> = observed
             .iter()
             .copied()
@@ -496,8 +391,7 @@ impl Finder {
         // bits share most of their cone, so per-bit eval would redo
         // O(bits × nodes) work on every blocked instance.
         let vals = inst.eval_many(c, &live);
-        let mut clause = Vec::with_capacity(live.len() + 1);
-        clause.extend(guard.map(|g| !g));
+        let mut clause = Vec::with_capacity(live.len());
         for (&b, val) in live.iter().zip(vals) {
             let lit = self.lit_of(c, b);
             clause.push(if val { !lit } else { lit });
@@ -782,44 +676,40 @@ mod tests {
 
     #[test]
     fn one_live_solver_serves_consecutive_guarded_enumerations() {
-        // The solver-pool contract: one finder, attached once, runs many
-        // enumeration passes in sequence — same query or different queries
-        // over the same formula — each pass under its own activation
-        // guard. Every pass must see the full class set, because earlier
-        // passes' blocking clauses are guarded and inert once their guard
-        // is no longer assumed. Learnt clauses survive between passes;
-        // they are formula-implied, so they may only prune.
+        // Incremental enumeration on one live finder: each pass asserts a
+        // guard input of its own and blocks on the observed bits plus that
+        // guard, so every blocking clause reads `¬guard ∨ block` and goes
+        // inert once a later pass stops asserting the guard. Every pass
+        // must therefore see its full class set — same query or a
+        // different one over the same formula. Learnt clauses survive
+        // between passes; they are formula-implied, so they may only prune.
         let mut c = Circuit::new();
         let xs: Vec<Bit> = (0..5).map(|i| c.input(format!("x{i}"))).collect();
+        let guards: Vec<Bit> = (0..4).map(|i| c.input(format!("g{i}"))).collect();
         let a = c.and(xs[2], xs[3]);
         let b = c.or(xs[0], xs[1]);
         let root = c.or(a, b);
-        let roots: Vec<Bit> = [root, a, b].into_iter().chain(xs.iter().copied()).collect();
+        let roots: Vec<Bit> = [root, a, b]
+            .into_iter()
+            .chain(xs.iter().copied())
+            .chain(guards.iter().copied())
+            .collect();
         let compiled = CompiledCircuit::compile(&c, roots);
         let mut f = Finder::attach(&compiled);
-        let queries: [(&[Bit], usize); 4] = [
-            (&[root], 26),   // 6 of 32 assignments falsify the root
-            (&[a], 8),       // x2 ∧ x3 pinned
-            (&[root], 26),   // the first query again: nothing leaked
-            (&[b.not()], 8), // ¬(x0 ∨ x1)
+        let queries: [(Bit, usize); 4] = [
+            (root, 26),   // 6 of 32 assignments falsify the root
+            (a, 8),       // x2 ∧ x3 pinned
+            (root, 26),   // the first query again: nothing leaked
+            (b.not(), 8), // ¬(x0 ∨ x1)
         ];
-        for (pass, &(asserts, expected)) in queries.iter().enumerate() {
-            let guard = f.new_guard();
-            f.warm(&c, asserts.iter().copied());
+        for (pass, (&(query, expected), &guard)) in queries.iter().zip(&guards).enumerate() {
+            let asserts = [query, guard];
+            let observed: Vec<Bit> = xs.iter().copied().chain([guard]).collect();
+            f.warm(&c, asserts);
             let mut n = 0;
-            loop {
-                let got = f
-                    .next_instance_budgeted_assuming(
-                        &c,
-                        asserts,
-                        &[guard],
-                        &mut NoExchange,
-                        &SolveBudget::unlimited(),
-                    )
-                    .expect("unlimited budget never interrupts");
-                let Some(inst) = got else { break };
+            while let Some(inst) = f.next_instance(&c, &asserts) {
                 n += 1;
-                f.block_guarded(&c, &inst, &xs, Some(guard));
+                f.block(&c, &inst, &observed);
                 assert!(n <= 32);
             }
             assert_eq!(n, expected, "pass {pass} must enumerate its full set");

@@ -5,8 +5,8 @@
 //! clause is three header words followed by the literal codes:
 //!
 //! ```text
-//! word 0   size << 6 | flags        (LEARNT, IMPORTED, SKELETON, DELETED,
-//!                                    RELOC, USED)
+//! word 0   size << 6 | flags        (LEARNT, IMPORTED, DELETED, RELOC,
+//!                                    USED)
 //! word 1   tier << 30 | lbd         (forwarding CRef while RELOC is set)
 //! word 2   f32 activity bits
 //! word 3.. literal codes (Lit::code), `size` of them
@@ -40,7 +40,6 @@ const SIZE_SHIFT: u32 = 6;
 
 const LEARNT: u32 = 1;
 const IMPORTED: u32 = 2;
-const SKELETON: u32 = 4;
 const DELETED: u32 = 8;
 const RELOC: u32 = 16;
 const USED: u32 = 32;
@@ -190,16 +189,6 @@ impl ClauseArena {
         self.set_flag(cref, IMPORTED, true);
     }
 
-    #[inline]
-    pub(crate) fn is_skeleton(&self, cref: u32) -> bool {
-        self.flag(cref, SKELETON)
-    }
-
-    #[inline]
-    pub(crate) fn set_skeleton(&mut self, cref: u32, on: bool) {
-        self.set_flag(cref, SKELETON, on);
-    }
-
     /// The transient deletion mark used inside batch sweeps (reduce,
     /// simplify): set while the sweep filters its index lists, cleared by
     /// [`ClauseArena::free`]'s poisoning. Never observed by propagation.
@@ -316,13 +305,12 @@ mod tests {
         assert_eq!(ca.len(c), 5);
         assert_eq!(ca.copy_lits(c), ls);
         assert!(ca.is_learnt(c));
-        assert!(!ca.is_imported(c) && !ca.is_skeleton(c) && !ca.is_deleted(c));
+        assert!(!ca.is_imported(c) && !ca.is_deleted(c));
         ca.set_imported(c);
-        ca.set_skeleton(c, true);
         ca.set_lbd(c, 7);
         ca.set_tier(c, TIER_LOCAL);
         ca.set_activity(c, 2.5);
-        assert!(ca.is_imported(c) && ca.is_skeleton(c));
+        assert!(ca.is_imported(c));
         assert_eq!(ca.lbd(c), 7);
         assert_eq!(ca.tier(c), TIER_LOCAL);
         assert_eq!(ca.activity(c), 2.5);

@@ -10,34 +10,16 @@
 //! (and at the end of each solve) the solver *exports* the clauses it learnt
 //! since the last exchange point and *fetches* whatever its peers published
 //! in the meantime; fetched clauses enter the database as learnt imports,
-//! eligible for the usual database reduction. A lazily attached receiver
-//! ([`crate::Solver::attach_shared_lazy`]) additionally *shelves* a
-//! fetched clause that mentions a still-dormant definitional cone and
-//! replays it the moment that cone activates — never activating a cone
-//! for an import, and never discarding one either
-//! ([`crate::Solver::set_shelving`]).
-//!
-//! Every exported clause carries a *skeleton-purity* flag: `true` iff the
-//! solver derived it exclusively from clauses of skeleton-tagged shared
-//! layers (see [`crate::SharedCnf`]). Skeleton-pure clauses are implied by
-//! the shared structural skeleton alone — not by any axiom-specific layer,
-//! blocking clause, or peer import of unknown provenance — so they remain
-//! valid for *any* query whose formula contains the identical skeleton
-//! prefix. The flag travels with the clause through [`ClauseExchange::fetch`]
-//! so a receiving solver can keep propagating purity through its own
-//! derivations.
+//! eligible for the usual database reduction.
 //!
 //! # Soundness contract for implementors
 //!
 //! Every clause returned by [`ClauseExchange::fetch`] must be satisfied by
-//! every assignment the receiving solver is still expected to find, and a
-//! clause handed over with `skeleton == true` must be implied by the
-//! receiver's skeleton layers alone. For the synthesis portfolio this holds
-//! because cube workers share one compiled formula, cubes are pinned on
-//! *observed* bits, and blocking clauses from one cube are automatically
-//! satisfied inside every other cube — see `crates/portfolio` for the full
-//! argument; the cross-query clause vault additionally guards skeleton
-//! imports behind a layer-chain fingerprint match.
+//! every assignment the receiving solver is still expected to find. For
+//! the synthesis portfolio this holds because cube workers share one
+//! compiled formula, cubes are pinned on *observed* bits, and blocking
+//! clauses from one cube are automatically satisfied inside every other
+//! cube — see `crates/portfolio` for the full argument.
 
 use crate::types::Lit;
 
@@ -45,17 +27,15 @@ use crate::types::Lit;
 pub trait ClauseExchange {
     /// Offers a clause learnt since the last exchange point, with its LBD
     /// (number of distinct decision levels among its literals — lower is
-    /// better) and its skeleton-purity flag. The endpoint decides whether
-    /// to publish it.
-    fn export(&mut self, lits: &[Lit], lbd: u32, skeleton: bool);
+    /// better). The endpoint decides whether to publish it.
+    fn export(&mut self, lits: &[Lit], lbd: u32);
 
     /// Appends peer clauses not yet seen by this endpoint to `out`, each
-    /// with the LBD its sender reported and its skeleton-purity flag. The
-    /// receiver treats the LBD as an upper bound — it recomputes a tighter
+    /// with the LBD its sender reported. The receiver treats the LBD as an upper bound — it recomputes a tighter
     /// one when the clause participates in conflict analysis — but the
     /// sender-side value is what keeps tiered retention from misfiling an
     /// import before its first use.
-    fn fetch(&mut self, out: &mut Vec<(Vec<Lit>, u32, bool)>);
+    fn fetch(&mut self, out: &mut Vec<(Vec<Lit>, u32)>);
 }
 
 /// The no-op exchange: plain solving without a portfolio.
@@ -63,6 +43,6 @@ pub trait ClauseExchange {
 pub struct NoExchange;
 
 impl ClauseExchange for NoExchange {
-    fn export(&mut self, _lits: &[Lit], _lbd: u32, _skeleton: bool) {}
-    fn fetch(&mut self, _out: &mut Vec<(Vec<Lit>, u32, bool)>) {}
+    fn export(&mut self, _lits: &[Lit], _lbd: u32) {}
+    fn fetch(&mut self, _out: &mut Vec<(Vec<Lit>, u32)>) {}
 }

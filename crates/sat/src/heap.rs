@@ -132,7 +132,7 @@ impl ActivityHeap {
 /// clearing the array. While enabled, branching pops the local heap first
 /// and falls back to the global VSIDS heap only when no marked variable is
 /// left unassigned, so the restriction can never make a query *less*
-/// complete — it only reorders decisions (see DESIGN §3b).
+/// complete — it only reorders decisions (see DESIGN §3a).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DecisionDomain {
     /// `stamp[v] == gen` ⇔ `v` is in the current local domain.

@@ -13,33 +13,25 @@
 //! with [`CnfBuilder::extending`] continues variable numbering where the
 //! base formula left off and records only the *new* clauses, so the built
 //! [`SharedCnf`] shares every base layer by `Arc` with the formula it
-//! extends. A synthesis sweep compiles the structural skeleton once and
-//! derives each (bound, axiom) query's formula as a one-layer extension.
+//! extends.
 //!
 //! Each layer carries a provenance tag ([`CnfLayer::is_skeleton`]): `true`
-//! for layers encoding the axiom-independent structural skeleton, `false`
-//! for axiom-specific (or monolithic) layers. Solvers propagate the tag
-//! through conflict analysis so that learnt clauses implied by the
-//! skeleton alone can be reused across queries sharing the same skeleton
-//! chain — see [`SharedCnf::skeleton_fingerprints`] and the clause vault
-//! in the portfolio crate.
+//! for layers encoding axiom-independent structural skeleton, `false` for
+//! axiom-specific (or monolithic) layers. It is metadata only — it enters
+//! the layer fingerprint, nothing more.
 //!
 //! Orthogonally, a layer can be tagged *definitional*
 //! ([`CnfLayer::is_definitional`]): every clause in it is a pure Tseitin
 //! naming constraint — its freshest (maximum) variable is a gate the
 //! clause helps define, and gates are functions of strictly older
-//! variables. A definitional layer asserts nothing by itself, so a solver
-//! may defer watching its clauses gate by gate until the query actually
-//! references them ([`crate::Solver::attach_shared_lazy`]). The cone
-//! metadata a lazy solver needs is precomputed here: each layer owns the
-//! contiguous variable range `[prev.num_vars(), num_vars())`
-//! ([`SharedCnf::layer_var_range`]) and the contiguous clause range
-//! [`SharedCnf::layer_clause_range`] ("which cone does this variable
-//! belong to" is a single binary search, [`SharedCnf::layer_of_var`]),
-//! and a definitional layer additionally indexes, per gate variable, the
-//! clauses and units defining that gate ([`CnfLayer::gate_defs`]) so
-//! activation can walk exactly the referenced sub-DAG of a cone instead
-//! of waking whole layers.
+//! variables. Each layer owns the contiguous variable range
+//! `[prev.num_vars(), num_vars())` ([`SharedCnf::layer_var_range`]) and
+//! the contiguous clause range [`SharedCnf::layer_clause_range`] ("which
+//! layer owns this variable" is a single binary search,
+//! [`SharedCnf::layer_of_var`]), and a definitional layer additionally
+//! indexes, per gate variable, the clauses and units defining that gate
+//! ([`CnfLayer::gate_defs`]), which is what [`SharedCnf::cone_vars`]
+//! walks.
 
 use crate::types::{Lit, Var};
 use std::sync::Arc;
@@ -73,7 +65,7 @@ pub struct CnfLayer {
     skeleton: bool,
     /// `true` when every clause of this layer is a Tseitin naming
     /// constraint over the layer's own gate variables (a definition cone):
-    /// the layer asserts nothing and is eligible for lazy watching.
+    /// the layer asserts nothing by itself.
     definitional: bool,
     /// First variable index owned by this layer (`num_vars` of the
     /// previous layer in the chain).
@@ -113,8 +105,8 @@ impl CnfLayer {
     }
 
     /// `true` when this layer is a pure definition cone (see
-    /// [`CnfBuilder::build_layer`]): a lazy solver may skip its watchers
-    /// until one of its variables is referenced.
+    /// [`CnfBuilder::build_layer`]), whose gates [`SharedCnf::cone_vars`]
+    /// expands.
     pub fn is_definitional(&self) -> bool {
         self.definitional
     }
@@ -177,8 +169,6 @@ pub struct SharedCnf {
     num_lits: usize,
     /// All unit clauses of the chain, in layer order.
     units: Vec<Lit>,
-    /// Per-unit provenance, aligned with `units`.
-    unit_skeleton: Vec<bool>,
     ok: bool,
 }
 
@@ -198,12 +188,6 @@ impl SharedCnf {
         &self.units
     }
 
-    /// Whether unit `i` (indexing [`SharedCnf::units`]) comes from a
-    /// skeleton layer.
-    pub fn unit_is_skeleton(&self, i: usize) -> bool {
-        self.unit_skeleton[i]
-    }
-
     /// `false` if an empty clause was added: the formula is trivially
     /// unsatisfiable.
     pub fn is_ok(&self) -> bool {
@@ -217,11 +201,6 @@ impl SharedCnf {
         let layer = &self.layers[li];
         let (start, len) = layer.ranges[i - self.clause_start[li]];
         &layer.lits[start as usize..(start + len) as usize]
-    }
-
-    /// Whether clause `i` comes from a skeleton layer.
-    pub fn clause_is_skeleton(&self, i: usize) -> bool {
-        self.layers[self.layer_of(i)].skeleton
     }
 
     #[inline]
@@ -278,20 +257,6 @@ impl SharedCnf {
     /// [`CnfLayer::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
         self.layers.last().map_or(FNV_OFFSET, |l| l.fingerprint)
-    }
-
-    /// Cumulative fingerprints of every prefix of the maximal skeleton
-    /// prefix of the chain: `[fp(L0), fp(L0·L1), …]` over the leading run
-    /// of skeleton-tagged layers. Two formulas sharing a fingerprint in
-    /// this list agree clause-for-clause and variable-for-variable on that
-    /// prefix, so skeleton-pure learnt clauses published under it are
-    /// sound imports for both.
-    pub fn skeleton_fingerprints(&self) -> Vec<u64> {
-        self.layers
-            .iter()
-            .take_while(|l| l.skeleton)
-            .map(|l| l.fingerprint)
-            .collect()
     }
 
     /// The definitional cone of `roots`: every variable reachable from a
@@ -442,8 +407,8 @@ impl CnfBuilder {
     /// Tseitin naming constraint — its freshest (maximum) variable is one
     /// of the layer's own gate variables, defined as a function of
     /// strictly older variables — so the layer asserts nothing by itself
-    /// and a lazy solver may defer watching it, gate by gate (see
-    /// [`crate::Solver::attach_shared_lazy`]). The promise is checked
+    /// and [`SharedCnf::cone_vars`] may walk it gate by gate. The promise
+    /// is checked
     /// structurally here (every clause must be owned by a layer-own
     /// variable); the deeper functional property is the encoder's contract
     /// — `litsynth-relalg` is the only producer.
@@ -524,13 +489,11 @@ impl CnfBuilder {
         let mut num_clauses = 0usize;
         let mut num_lits = 0usize;
         let mut units = Vec::new();
-        let mut unit_skeleton = Vec::new();
         for l in &layers {
             clause_start.push(num_clauses);
             num_clauses += l.ranges.len();
             num_lits += l.lits.len();
             units.extend_from_slice(&l.units);
-            unit_skeleton.extend(l.units.iter().map(|_| l.skeleton));
         }
         SharedCnf {
             num_vars: layers.last().map_or(0, |l| l.num_vars),
@@ -539,7 +502,6 @@ impl CnfBuilder {
             num_clauses,
             num_lits,
             units,
-            unit_skeleton,
             ok: self.ok,
         }
     }
@@ -581,7 +543,7 @@ mod tests {
         b.add_clause([Lit::neg(v0)]);
         let base = b.build_tagged(true);
         assert_eq!(base.num_layers(), 1);
-        assert!(base.clause_is_skeleton(0));
+        assert!(base.layers()[0].is_skeleton());
 
         let mut e = CnfBuilder::extending(&base);
         let v2 = e.new_var();
@@ -596,12 +558,11 @@ mod tests {
         // Clause indexing is flat across layers, base first.
         assert_eq!(ext.clause(0), &[Lit::pos(v0), Lit::pos(v1)]);
         assert_eq!(ext.clause(1), &[Lit::neg(v1), Lit::pos(v2)]);
-        assert!(ext.clause_is_skeleton(0));
-        assert!(!ext.clause_is_skeleton(1));
-        // Units concatenate in layer order with provenance.
+        assert_eq!(ext.layer_of_clause(0), 0);
+        assert_eq!(ext.layer_of_clause(1), 1);
+        assert!(!ext.layers()[1].is_skeleton());
+        // Units concatenate in layer order.
         assert_eq!(ext.units(), &[Lit::neg(v0), Lit::pos(v2)]);
-        assert!(ext.unit_is_skeleton(0));
-        assert!(!ext.unit_is_skeleton(1));
         // The base layer is literally shared, not copied.
         assert!(Arc::ptr_eq(&base.layers()[0], &ext.layers()[0]));
         // The base view is untouched.
@@ -627,18 +588,14 @@ mod tests {
         e1.add_clause([Lit::pos(v2)]);
         let ext1 = e1.build();
         // The extension changes the chain fingerprint but keeps the
-        // skeleton prefix fingerprint visible.
+        // prefix fingerprint visible on its base layer.
         assert_ne!(ext1.fingerprint(), base1.fingerprint());
-        assert_eq!(ext1.skeleton_fingerprints(), vec![base1.fingerprint()]);
-        // A full-skeleton chain exposes every prefix fingerprint.
+        assert_eq!(ext1.layers()[0].fingerprint(), base1.fingerprint());
+        // The layer tag is part of the content.
         let mut e2 = CnfBuilder::extending(&base1);
         let v2 = e2.new_var();
         e2.add_clause([Lit::pos(v2)]);
-        let ext2 = e2.build_tagged(true);
-        assert_eq!(
-            ext2.skeleton_fingerprints(),
-            vec![base1.fingerprint(), ext2.fingerprint()]
-        );
+        assert_ne!(e2.build_tagged(true).fingerprint(), ext1.fingerprint());
         // Different content ⇒ different fingerprint.
         let mut d = CnfBuilder::new();
         let v0 = d.new_var();
@@ -681,8 +638,7 @@ mod tests {
         assert_eq!(ext.layers()[1].units().len(), 1);
         assert_eq!(ext.layers()[1].num_vars(), 4, "cumulative, not own");
         // The definitional tag is part of the chain fingerprint: two
-        // chains that differ only in lazy eligibility must not share
-        // vault shelves.
+        // chains that differ only in it are different formulas.
         assert_ne!(ext.fingerprint(), extend(false).fingerprint());
     }
 

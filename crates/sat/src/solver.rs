@@ -38,12 +38,9 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Number of learnt clauses currently in the database.
     pub learnts: u64,
-    /// Decisions served from the local level of the two-level decision
-    /// domain (always ≤ `decisions`; 0 unless the domain is enabled).
+    /// Decisions served from the declared roots first (always ≤
+    /// `decisions`; 0 unless roots-first branching is enabled).
     pub domain_decisions: u64,
-    /// Imported clauses that were shelved over a dormant cone and later
-    /// replayed when the cone activated (lazy attach only).
-    pub shelved_replayed: u64,
     /// Level-0 inprocessing: local clauses purged because they were
     /// satisfied at level 0 (plus shared clauses whose private watchers
     /// were dropped for the same reason).
@@ -166,48 +163,16 @@ pub struct Solver {
     /// of swapping watched literals to the front is replaced by this tiny
     /// per-solver table.
     shared_watch: Vec<[u32; 2]>,
-    /// Per-shared-clause skeleton flags, precomputed at attach so the hot
-    /// purity lookups never walk the layer chain.
-    shared_skel: Vec<bool>,
     /// Local crefs of clauses learnt since the last exchange point.
     fresh_learnts: Vec<u32>,
     /// Unit clauses learnt since the last exchange point (units never get
-    /// a cref; they are enqueued directly), with their skeleton purity.
-    fresh_units: Vec<(Lit, bool)>,
-    /// Skeleton purity of each variable's level-0 assignment (meaningful
-    /// only while the variable is assigned at level 0): `true` iff the
-    /// assignment is derivable from skeleton clauses alone. Conflict
-    /// analysis silently drops level-0 literals from learnt clauses, so
-    /// their derivations must flow into learnt-clause purity here.
-    zero_pure: Vec<bool>,
+    /// a cref; they are enqueued directly).
+    fresh_units: Vec<Lit>,
     /// Scratch for LBD computation (level → generation stamp).
     lbd_seen: Vec<u64>,
     lbd_gen: u64,
-    /// `true` when created with [`Solver::attach_shared_lazy`]:
-    /// definitional shared gates start dormant and activate on demand.
-    lazy: bool,
-    /// Per-variable activation state. Local variables and every variable
-    /// of an eager attach are always active; gate variables of a
-    /// definitional layer are inactive — their defining clauses unwatched,
-    /// the variable never assigned or branched on — until the search first
-    /// references them ([`Solver::activate_vars`]).
-    var_active: Vec<bool>,
-    /// `false` restores the pre-shelving behavior of dropping imports over
-    /// dormant cones (ablation knob; see [`Solver::set_shelving`]).
-    shelve: bool,
-    /// Shelved imports: clauses received over an exchange while at least
-    /// one of their variables was dormant, parked here (with their purity
-    /// claim) until [`Solver::activate_vars`] wakes the last dormant
-    /// variable and replays them. `None` once replayed.
-    shelved: Vec<Option<(Vec<Lit>, u32, bool)>>,
-    /// Per-variable shelf watch: `shelf_watch[v]` lists the `shelved` slots
-    /// currently parked on dormant variable `v` (each shelved clause is
-    /// registered under exactly one of its dormant variables; on that
-    /// variable's activation the slot re-registers under another dormant
-    /// variable or, when none is left, replays).
-    shelf_watch: Vec<Vec<u32>>,
     /// The local level of the two-level decision domain: the declared
-    /// cone's variables, rebuilt by [`Solver::declare_roots`] when
+    /// roots' variables, rebuilt by [`Solver::declare_roots`] when
     /// `use_domain` is set.
     domain: DecisionDomain,
     /// Whether [`Solver::declare_roots`] builds a decision domain and
@@ -231,7 +196,6 @@ impl Solver {
             simp_db_assigns: usize::MAX,
             inprocess: true,
             tiered: true,
-            shelve: true,
             ..Solver::default()
         }
     }
@@ -249,7 +213,6 @@ impl Solver {
             s.new_var();
         }
         s.shared_watch = vec![[0, 1]; shared.num_clauses()];
-        s.shared_skel = Vec::with_capacity(shared.num_clauses());
         for i in 0..shared.num_clauses() {
             let cl = shared.clause(i);
             debug_assert!(cl.len() >= 2, "arena clauses are never unit");
@@ -262,35 +225,19 @@ impl Solver {
                 cref,
                 blocker: cl[0],
             });
-            s.shared_skel.push(shared.clause_is_skeleton(i));
         }
         s.ok = shared.is_ok();
-        let units: Vec<(Lit, bool)> = shared
-            .units()
-            .iter()
-            .enumerate()
-            .map(|(i, &u)| (u, shared.unit_is_skeleton(i)))
-            .collect();
+        let units = shared.units().to_vec();
         s.shared = Some(shared);
         if s.ok {
-            for (u, pure) in units {
+            for u in units {
                 match s.lit_value(u) {
-                    LBool::True => {
-                        // Already true: keep the stronger (pure) provenance
-                        // if this unit provides it.
-                        if pure {
-                            let v = u.var().index();
-                            s.zero_pure[v] = true;
-                        }
-                    }
+                    LBool::True => {}
                     LBool::False => {
                         s.ok = false;
                         break;
                     }
-                    LBool::Undef => {
-                        s.zero_pure[u.var().index()] = pure;
-                        s.unchecked_enqueue(u, None);
-                    }
+                    LBool::Undef => s.unchecked_enqueue(u, None),
                 }
             }
             if s.ok && s.propagate().is_some() {
@@ -298,139 +245,6 @@ impl Solver {
             }
         }
         s
-    }
-
-    /// [`Solver::attach_shared`], but the gates of *definitional* layers
-    /// ([`crate::CnfLayer::is_definitional`]) start dormant: no watchers
-    /// are installed for their defining clauses, the gate variables are
-    /// never branched on or assigned, and propagation never walks their
-    /// clauses. A dormant gate activates the moment the search references
-    /// it — through an assumption, an added (non-imported) clause, or
-    /// transitively as an input of another activating gate — at which
-    /// point its defining clauses are installed and their consequences
-    /// replayed at level 0 (see [`Solver::activate_vars`] for why that is
-    /// sound). Imported clauses over a dormant gate are *shelved* instead
-    /// of activating it: imports are redundant (they only prune), so
-    /// deferring one is always sound, and activation replays the shelf the
-    /// moment the cone wakes so no sound pruning is ever discarded (see
-    /// [`Solver::set_shelving`]).
-    ///
-    /// Activation is per *gate*, not per layer: on a hash-consed
-    /// sweep-shared chain most of a sibling query's cone lives in layers
-    /// this query also draws shared sub-gates from, so waking whole layers
-    /// would wake nearly everything. Walking the definitional sub-DAG var
-    /// by var installs exactly the cone the query reaches and nothing
-    /// else, while solving the *same formula* as far as the query can
-    /// observe: a dormant gate only names a function nothing active
-    /// constrains.
-    pub fn attach_shared_lazy(shared: Arc<SharedCnf>) -> Solver {
-        let mut s = Solver::new();
-        for _ in 0..shared.num_vars() {
-            s.new_var();
-        }
-        s.shared_watch = vec![[0, 1]; shared.num_clauses()];
-        s.shared_skel = (0..shared.num_clauses())
-            .map(|i| shared.clause_is_skeleton(i))
-            .collect();
-        s.lazy = true;
-        for (li, layer) in shared.layers().iter().enumerate() {
-            if layer.is_definitional() {
-                for v in shared.layer_var_range(li) {
-                    s.var_active[v] = false;
-                }
-            }
-        }
-        s.ok = shared.is_ok();
-        // Non-definitional layers (the skeleton, monolithic layers) assert
-        // things; they are installed up front exactly as an eager attach
-        // would watch them. Any definitional gate their clauses or units
-        // reference as input is seeded active — the closure invariant is
-        // that an installed clause only mentions active variables.
-        let mut seed = Vec::new();
-        let mut units = Vec::new();
-        for (li, layer) in shared.layers().iter().enumerate() {
-            if layer.is_definitional() {
-                continue;
-            }
-            for ci in shared.layer_clause_range(li) {
-                let cl = shared.clause(ci);
-                debug_assert!(cl.len() >= 2, "arena clauses are never unit");
-                let cref = SHARED_BIT | ci as u32;
-                s.watches[cl[0].code()].push(Watcher {
-                    cref,
-                    blocker: cl[1],
-                });
-                s.watches[cl[1].code()].push(Watcher {
-                    cref,
-                    blocker: cl[0],
-                });
-                seed.extend(cl.iter().map(|l| l.var()));
-            }
-            for &u in layer.units() {
-                units.push((u, layer.is_skeleton()));
-                seed.push(u.var());
-            }
-        }
-        seed.retain(|v| !s.var_active[v.index()]);
-        s.shared = Some(shared);
-        if s.ok {
-            for (u, pure) in units {
-                match s.lit_value(u) {
-                    LBool::True => {
-                        if pure {
-                            s.zero_pure[u.var().index()] = true;
-                        }
-                    }
-                    LBool::False => {
-                        s.ok = false;
-                        break;
-                    }
-                    LBool::Undef => {
-                        s.zero_pure[u.var().index()] = pure;
-                        s.unchecked_enqueue(u, None);
-                    }
-                }
-            }
-        }
-        if s.ok {
-            s.activate_vars(seed);
-        }
-        if s.ok && s.propagate().is_some() {
-            s.ok = false;
-        }
-        s
-    }
-
-    /// Number of shared layers with watchers installed: all of them after
-    /// an eager [`Solver::attach_shared`], 0 with no arena. After
-    /// [`Solver::attach_shared_lazy`], counts the layers at least one of
-    /// whose own gates has activated (a layer owning no variables counts
-    /// as active — it has nothing to defer).
-    pub fn active_layer_count(&self) -> usize {
-        let Some(sh) = &self.shared else { return 0 };
-        if !self.lazy {
-            return sh.num_layers();
-        }
-        (0..sh.num_layers())
-            .filter(|&li| {
-                let r = sh.layer_var_range(li);
-                !sh.layers()[li].is_definitional()
-                    || r.is_empty()
-                    || r.clone().any(|v| self.var_active[v])
-            })
-            .count()
-    }
-
-    /// Number of variables with watchers live: every variable after an
-    /// eager [`Solver::attach_shared`] (or on a solver with no arena),
-    /// only the activated ones after [`Solver::attach_shared_lazy`].
-    /// Diagnostic companion to [`Solver::active_layer_count`] at gate
-    /// granularity.
-    pub fn active_var_count(&self) -> usize {
-        if !self.lazy {
-            return self.assigns.len();
-        }
-        self.var_active.iter().filter(|&&a| a).count()
     }
 
     /// Allocates a fresh variable.
@@ -442,9 +256,6 @@ impl Solver {
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
-        self.zero_pure.push(false);
-        self.var_active.push(true);
-        self.shelf_watch.push(Vec::new());
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.heap.insert(v.index(), &self.activity);
@@ -498,23 +309,13 @@ impl Solver {
         }
     }
 
-    /// Controls shelve-and-replay of imports over dormant cones (lazy
-    /// attach only; default on). With shelving off, such imports are
-    /// dropped outright — the PR 5 behavior, kept as an ablation knob.
-    /// Sound either way: imports only prune.
-    pub fn set_shelving(&mut self, on: bool) {
-        self.shelve = on;
-    }
-
-    /// Enables the two-level decision domain (default off). When on, each
-    /// [`Solver::declare_roots`] call rebuilds the local domain as the
-    /// declared cone, and every subsequent `solve_budgeted`/`solve_limited`
-    /// branches on the cone's variables first, falling back to the global
-    /// VSIDS heap only once no cone variable is left unassigned. The
-    /// restriction only reorders decisions, so results (and, downstream,
-    /// enumerated suites) are unchanged — it exists to keep a pooled
-    /// solver's search inside the current query's cone even after earlier
-    /// tasks activated unrelated cones.
+    /// Enables roots-first branching through the two-level decision
+    /// domain (default off). When on, each [`Solver::declare_roots`] call
+    /// rebuilds the local domain as the declared roots' cone, and every
+    /// subsequent `solve_budgeted`/`solve_limited` branches on those
+    /// variables first, falling back to the global VSIDS heap only once
+    /// none is left unassigned. The restriction only reorders decisions,
+    /// so results (and, downstream, enumerated suites) are unchanged.
     pub fn set_domain_enabled(&mut self, on: bool) {
         self.use_domain = on;
         if !on {
@@ -550,71 +351,31 @@ impl Solver {
         self.max_learnts = budget as f64;
     }
 
-    /// Number of imports currently shelved awaiting cone activation.
-    pub fn shelved_count(&self) -> usize {
-        self.shelved.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Adds a clause (a disjunction of literals).
     ///
     /// May be called at any time, including between `solve` calls; this is how
     /// blocking clauses are added during model enumeration. Returns `false` if
     /// the formula has become trivially unsatisfiable.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
-        self.add_clause_inner(lits.into_iter().collect(), false, 0, false)
+        self.add_clause_inner(lits.into_iter().collect(), false, 0)
     }
 
     /// [`Solver::add_clause`], but the clause enters the database as a
     /// learnt import: eligible for database reduction and never re-exported
     /// over an exchange. `lbd` is the sender's reported LBD (an upper
-    /// bound; conflict analysis tightens it on use) and `pure` the sender's
-    /// skeleton-purity claim.
-    fn import_clause(&mut self, lits: Vec<Lit>, lbd: u32, pure: bool) -> bool {
-        self.add_clause_inner(lits, true, lbd, pure)
+    /// bound; conflict analysis tightens it on use).
+    fn import_clause(&mut self, lits: Vec<Lit>, lbd: u32) -> bool {
+        self.add_clause_inner(lits, true, lbd)
     }
 
-    fn add_clause_inner(&mut self, mut ls: Vec<Lit>, import: bool, lbd: u32, pure: bool) -> bool {
+    fn add_clause_inner(&mut self, mut ls: Vec<Lit>, import: bool, lbd: u32) -> bool {
         if !self.ok {
             return false;
         }
         self.cancel_until(0);
-        if self.lazy {
-            if import {
-                // An imported clause over a dormant cone must not activate
-                // the cone — that would pay exactly the propagation tax
-                // laziness avoids (measured: activate-on-import loses on
-                // every swept bound). But dropping it outright forgoes
-                // sound pruning forever (measured: the bound-5 inversion),
-                // so instead the clause is *shelved*, watched on one of
-                // its dormant variables, and replayed by
-                // [`Solver::activate_vars`] the moment its whole cone is
-                // awake. Sound in both directions: an import is redundant,
-                // so deferring it loses no models, and replaying it only
-                // prunes.
-                if let Some(l) = ls.iter().find(|l| !self.var_active[l.var().index()]) {
-                    if self.shelve {
-                        let slot = self.shelved.len() as u32;
-                        self.shelf_watch[l.var().index()].push(slot);
-                        self.shelved.push(Some((ls, lbd, pure)));
-                    }
-                    return true;
-                }
-            } else {
-                // An asserted clause references the cone for real: wake it
-                // so the new clause's literals land on live watchers.
-                self.activate_for_lits(ls.iter().copied());
-                if !self.ok {
-                    return false;
-                }
-            }
-        }
         ls.sort();
         ls.dedup();
         // Detect tautologies and drop literals already false at level 0.
-        // Each dropped literal strengthens the clause using that literal's
-        // level-0 derivation, so purity is demoted unless the derivation
-        // itself was skeleton-pure.
-        let mut pure = pure;
         let mut filtered = Vec::with_capacity(ls.len());
         for (i, &l) in ls.iter().enumerate() {
             if i + 1 < ls.len() && ls[i + 1] == !l {
@@ -622,7 +383,7 @@ impl Solver {
             }
             match self.lit_value(l) {
                 LBool::True => return true, // already satisfied at level 0
-                LBool::False => pure &= self.zero_pure[l.var().index()],
+                LBool::False => {}
                 LBool::Undef => filtered.push(l),
             }
         }
@@ -632,7 +393,6 @@ impl Solver {
                 false
             }
             1 => {
-                self.zero_pure[filtered[0].var().index()] = pure;
                 self.unchecked_enqueue(filtered[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
@@ -642,7 +402,6 @@ impl Solver {
             _ => {
                 let len = filtered.len() as u32;
                 let cref = self.attach_new_clause(filtered, import);
-                self.ca.set_skeleton(cref, pure);
                 if import {
                     self.ca.set_imported(cref);
                     // The sender's LBD is an upper bound; level-0 stripping
@@ -723,13 +482,6 @@ impl Solver {
         if !self.ok {
             return BudgetedResult::Done(SolveResult::Unsat);
         }
-        // Lazy arenas: the assumptions declare which cones this solve
-        // touches; wake them before search (and before imports, so peer
-        // clauses over the now-live cones are accepted).
-        self.activate_for_lits(assumptions.iter().copied());
-        if !self.ok {
-            return BudgetedResult::Done(SolveResult::Unsat);
-        }
         let start_conflicts = self.stats.conflicts;
         let start_propagations = self.stats.propagations;
         self.export_fresh(exchange);
@@ -737,9 +489,8 @@ impl Solver {
         if !self.ok {
             return BudgetedResult::Done(SolveResult::Unsat);
         }
-        // Level-0 inprocessing between queries: by far the most valuable
-        // moment on a pooled solver, right after the previous query's
-        // blocking clauses became level-0-satisfiable dead weight.
+        // Level-0 inprocessing between solves, right after the previous
+        // solve's blocking clause and this solve's imports landed.
         self.simplify();
         if !self.ok {
             return BudgetedResult::Done(SolveResult::Unsat);
@@ -820,10 +571,6 @@ impl Solver {
         max_conflicts: u64,
     ) -> Option<SolveResult> {
         self.model.clear();
-        if !self.ok {
-            return Some(SolveResult::Unsat);
-        }
-        self.activate_for_lits(assumptions.iter().copied());
         if !self.ok {
             return Some(SolveResult::Unsat);
         }
@@ -945,35 +692,16 @@ impl Solver {
         }
     }
 
-    /// Skeleton purity of the clause behind `cref` (shared or local).
-    #[inline]
-    fn clause_pure(&self, cref: u32) -> bool {
-        if cref & SHARED_BIT != 0 {
-            self.shared_skel[(cref & !SHARED_BIT) as usize]
-        } else {
-            self.ca.is_skeleton(cref)
-        }
-    }
-
-    /// Declares the cone roots a query is about to solve under: activates
-    /// the listed literals' defining cones immediately instead of at the
-    /// first `solve` call, and — when the two-level decision domain is
-    /// enabled ([`Solver::set_domain_enabled`]) — rebuilds the local
-    /// decision domain as exactly the declared cone, replacing whatever
-    /// cone a previous query on this (pooled) solver declared. Declaring
-    /// roots is no longer required for imports to stick (imports over
-    /// dormant cones shelve and replay on activation), but declaring them
-    /// up front lets a vault fetch or exchange drain install its clauses
-    /// immediately instead of through the shelf. Sound at any point (it
-    /// only installs constraints the full formula already contains).
+    /// Declares the roots a query is about to solve under. With
+    /// roots-first branching enabled ([`Solver::set_domain_enabled`]) this
+    /// rebuilds the local decision domain as exactly the declared roots'
+    /// cone, replacing whatever a previous declaration built; otherwise it
+    /// is a no-op. Sound at any point: the domain only reorders decisions.
     pub fn declare_roots<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        if !self.use_domain {
-            self.activate_for_lits(lits);
-            return;
+        if self.use_domain {
+            let roots: Vec<Lit> = lits.into_iter().collect();
+            self.rebuild_domain(&roots);
         }
-        let roots: Vec<Lit> = lits.into_iter().collect();
-        self.activate_for_lits(roots.iter().copied());
-        self.rebuild_domain(&roots);
     }
 
     /// Rebuilds the local decision domain as the definitional cone of
@@ -1002,186 +730,8 @@ impl Solver {
             None => roots.iter().map(|l| l.var().index()).collect(),
         };
         for v in members {
-            if v < self.assigns.len()
-                && self.domain.add(v)
-                && self.assigns[v] == LBool::Undef
-                && self.var_active[v]
-            {
+            if v < self.assigns.len() && self.domain.add(v) && self.assigns[v] == LBool::Undef {
                 self.domain.enqueue(v, &self.activity);
-            }
-        }
-    }
-
-    /// Activates every dormant gate variable of `lits`, transitively
-    /// through their defining cones. No-op on eager solvers. Cancels to
-    /// level 0 first: every call site is a level-0 boundary (solve entry,
-    /// clause add), and watcher installation must not race a live trail.
-    fn activate_for_lits<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        if !self.lazy || !self.ok {
-            return;
-        }
-        let want: Vec<Var> = lits
-            .into_iter()
-            .map(|l| l.var())
-            .filter(|v| v.index() < self.var_active.len() && !self.var_active[v.index()])
-            .collect();
-        if !want.is_empty() {
-            self.cancel_until(0);
-            self.activate_vars(want);
-        }
-    }
-
-    /// Activates each listed dormant gate variable: installs watchers for
-    /// the clauses *defining* it ([`crate::CnfLayer::gate_defs`]) and,
-    /// transitively, activates every dormant variable those clauses
-    /// mention. The closure maintains the invariant that an installed
-    /// clause's variables are all active — so a dormant gate appears in no
-    /// watched clause and can never be assigned, watched, or branched on —
-    /// and, symmetrically, that an active gate's defining clauses are all
-    /// installed, so an active gate is always constrained to its defining
-    /// function.
-    ///
-    /// Runs at decision level 0, replaying each installed clause against
-    /// the level-0 trail exactly as eager attach-time propagation would
-    /// have: a clause already satisfied at level 0 is skipped for good
-    /// (level-0 assignments are permanent), a falsified clause fails the
-    /// solver, an asserting clause enqueues its literal with the shared
-    /// clause as reason (so skeleton purity flows through
-    /// [`Solver::unchecked_enqueue`] exactly as in live propagation), and
-    /// anything else gets two watchers on non-false literals. One
-    /// propagation pass at the end replays the consequences. Soundness
-    /// (DESIGN §3b): activation only ever *adds* constraints the full
-    /// formula already contains, so no model is gained; and a dormant
-    /// gate is definitional — its unwatched defining clauses are
-    /// satisfiable by construction given any assignment to the active
-    /// variables, and no active clause mentions the gate — so no
-    /// observable model is lost.
-    fn activate_vars(&mut self, mut worklist: Vec<Var>) {
-        let shared = self.shared.clone().expect("activation requires an arena");
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut touched = false;
-        // Shelf slots whose last dormant variable wakes in this closure;
-        // replayed (as ordinary imports) once the closure and its level-0
-        // propagation settle.
-        let mut replay: Vec<u32> = Vec::new();
-        while let Some(v) = worklist.pop() {
-            if self.var_active[v.index()] {
-                continue;
-            }
-            self.var_active[v.index()] = true;
-            // Re-enter the branching heap: the variable may have been
-            // popped and discarded while inactive (insert is a no-op if it
-            // is still there).
-            self.heap.insert(v.index(), &self.activity);
-            touched = true;
-            // Wake the shelf parked on this variable: each slot re-parks on
-            // another still-dormant variable of its clause, or — when this
-            // was the last one — queues for replay. Dormant variables found
-            // here are *not* pushed on the worklist: a shelved import must
-            // never widen the activation closure.
-            for slot in std::mem::take(&mut self.shelf_watch[v.index()]) {
-                let next_dormant = match self.shelved[slot as usize].as_ref() {
-                    None => continue,
-                    Some((lits, _, _)) => lits
-                        .iter()
-                        .map(|l| l.var().index())
-                        .find(|&w| !self.var_active[w]),
-                };
-                match next_dormant {
-                    Some(w) => self.shelf_watch[w].push(slot),
-                    None => replay.push(slot),
-                }
-            }
-            let li = shared.layer_of_var(v);
-            let layer = &shared.layers()[li];
-            let clause_base = shared.layer_clause_range(li).start;
-            let pure = layer.is_skeleton();
-            for def in layer.gate_defs(v) {
-                let ci = match def {
-                    crate::GateDef::Unit(u) => {
-                        match self.lit_value(u) {
-                            LBool::True => {
-                                if pure {
-                                    self.zero_pure[u.var().index()] = true;
-                                }
-                            }
-                            LBool::False => {
-                                self.ok = false;
-                                return;
-                            }
-                            LBool::Undef => {
-                                self.zero_pure[u.var().index()] = pure;
-                                self.unchecked_enqueue(u, None);
-                            }
-                        }
-                        continue;
-                    }
-                    crate::GateDef::Clause(local) => clause_base + local,
-                };
-                let cl = shared.clause(ci);
-                let mut satisfied = false;
-                let mut free = [0u32; 2];
-                let mut n_free = 0usize;
-                // One scan does double duty: classify the clause against
-                // the level-0 trail and discover which dormant inputs it
-                // drags in (no early exit — the dependency scan must see
-                // every literal).
-                for (j, &l) in cl.iter().enumerate() {
-                    if !self.var_active[l.var().index()] {
-                        worklist.push(l.var());
-                    }
-                    match self.lit_value(l) {
-                        LBool::True => satisfied = true,
-                        LBool::False => {}
-                        LBool::Undef => {
-                            if n_free < 2 {
-                                free[n_free] = j as u32;
-                            }
-                            n_free += 1;
-                        }
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                let cref = SHARED_BIT | ci as u32;
-                match n_free {
-                    0 => {
-                        self.ok = false;
-                        return;
-                    }
-                    1 => {
-                        self.unchecked_enqueue(cl[free[0] as usize], Some(cref));
-                    }
-                    _ => {
-                        self.shared_watch[ci] = free;
-                        self.watches[cl[free[0] as usize].code()].push(Watcher {
-                            cref,
-                            blocker: cl[free[1] as usize],
-                        });
-                        self.watches[cl[free[1] as usize].code()].push(Watcher {
-                            cref,
-                            blocker: cl[free[0] as usize],
-                        });
-                    }
-                }
-            }
-        }
-        if touched && self.propagate().is_some() {
-            self.ok = false;
-        }
-        // Replay fully-awake shelved imports. Runs after the closure's own
-        // propagation so the imports land on a settled level-0 trail; each
-        // replay goes through the normal import path (which re-checks
-        // satisfaction/units and may fail the solver on a genuine
-        // level-0 conflict).
-        for slot in replay {
-            if !self.ok {
-                break;
-            }
-            if let Some((lits, lbd, pure)) = self.shelved[slot as usize].take() {
-                self.stats.shelved_replayed += 1;
-                self.import_clause(lits, lbd, pure);
             }
         }
     }
@@ -1189,25 +739,6 @@ impl Solver {
     fn unchecked_enqueue(&mut self, l: Lit, reason: Option<u32>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
         let v = l.var().index();
-        if self.trail_lim.is_empty() {
-            // A level-0 assignment: record whether it is derivable from
-            // skeleton clauses alone. Propagations inherit purity from
-            // their reason clause and its (level-0, already assigned)
-            // other literals; reasonless level-0 enqueues have their
-            // purity pre-set by the caller in `zero_pure`.
-            if let Some(cr) = reason {
-                let mut pure = self.clause_pure(cr);
-                if pure {
-                    for j in 0..self.clause_len(cr) {
-                        let q = self.clause_lit(cr, j);
-                        if q != l {
-                            pure &= self.zero_pure[q.var().index()];
-                        }
-                    }
-                }
-                self.zero_pure[v] = pure;
-            }
-        }
         self.assigns[v] = LBool::from_bool(l.is_positive());
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
@@ -1403,16 +934,8 @@ impl Solver {
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first), the backtrack level, the clause's LBD, and its
-    /// skeleton purity.
-    ///
-    /// The learnt clause is a resolvent of the conflict clause and the
-    /// reason clauses expanded along the way (including those used to
-    /// minimize it), strengthened by dropping literals false at level 0.
-    /// It is therefore skeleton-pure iff every one of those antecedent
-    /// clauses is pure *and* every dropped level-0 literal's assignment
-    /// was itself derived purely ([`Solver::zero_pure`]).
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, usize, u32, bool) {
+    /// literal first), the backtrack level, and the clause's LBD.
+    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, usize, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for asserting lit
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
@@ -1420,10 +943,8 @@ impl Solver {
         let mut confl = confl;
         let mut to_clear: Vec<usize> = Vec::new();
         let dl = self.decision_level() as u32;
-        let mut pure = true;
 
         loop {
-            pure &= self.clause_pure(confl);
             if confl & SHARED_BIT == 0 && self.ca.is_learnt(confl) {
                 self.clause_bump(confl);
                 // MID-tier probation: a use between two reductions is what
@@ -1455,11 +976,6 @@ impl Solver {
                     } else {
                         learnt.push(q);
                     }
-                } else if self.level[v] == 0 {
-                    // Level-0 literals are silently dropped from the learnt
-                    // clause; that strengthening resolves against their
-                    // level-0 derivations.
-                    pure &= self.zero_pure[v];
                 }
             }
             // Select the next implication-graph node to expand.
@@ -1481,8 +997,6 @@ impl Solver {
         learnt[0] = !p.expect("1UIP exists");
 
         // Basic clause minimization: drop literals implied by the rest.
-        // Each drop is one more resolution step (against the literal's
-        // reason clause), so purity flows through it like any antecedent.
         let mut j = 1;
         for i in 1..learnt.len() {
             let l = learnt[i];
@@ -1496,17 +1010,6 @@ impl Solver {
             if keep {
                 learnt[j] = l;
                 j += 1;
-            } else {
-                let r = self.reason[l.var().index()].expect("dropped literal has a reason");
-                pure &= self.clause_pure(r);
-                if pure {
-                    for k in 0..self.clause_len(r) {
-                        let q = self.clause_lit(r, k);
-                        if self.level[q.var().index()] == 0 {
-                            pure &= self.zero_pure[q.var().index()];
-                        }
-                    }
-                }
             }
         }
         learnt.truncate(j);
@@ -1542,29 +1045,26 @@ impl Solver {
         for v in to_clear {
             self.seen[v] = false;
         }
-        (learnt, bt, lbd, pure)
+        (learnt, bt, lbd)
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         // Two-level branching: while this solve has a live decision
         // domain, prefer the highest-activity variable of the declared
-        // cone; only once the cone is fully assigned fall through to the
+        // roots; only once they are all assigned fall through to the
         // global heap. Popping from the local heap leaves the variable in
         // the global heap (and vice versa) — the stale entry is skipped by
         // the `Undef` check when it surfaces.
         if self.domain_active {
             while let Some(v) = self.domain.pop(&self.activity) {
-                if self.assigns[v] == LBool::Undef && self.var_active[v] {
+                if self.assigns[v] == LBool::Undef {
                     self.stats.domain_decisions += 1;
                     return Some(Var(v as u32));
                 }
             }
         }
-        // Inactive (dormant-cone) variables are skipped: nothing watches
-        // them, so assigning one could never propagate or conflict — it
-        // would only pad the trail. They re-enter the heap on activation.
         while let Some(v) = self.heap.pop_max(&self.activity) {
-            if self.assigns[v] == LBool::Undef && self.var_active[v] {
+            if self.assigns[v] == LBool::Undef {
                 return Some(Var(v as u32));
             }
         }
@@ -1665,8 +1165,7 @@ impl Solver {
     /// and rewrites all crefs — watchers, reasons, and the clause index
     /// lists — through the relocation forwarding pointers. Sound at any
     /// decision level: only addresses change, never content. Shared crefs
-    /// (high bit set) are untouched; shelved clauses store literal vectors,
-    /// not crefs, so the shelf needs no pass.
+    /// (high bit set) are untouched.
     fn garbage_collect(&mut self) {
         let before = self.ca.data_len();
         let mut to = ClauseArena::with_capacity(before - self.ca.wasted());
@@ -1803,16 +1302,11 @@ impl Solver {
 
     /// Removes literals false at level 0 from `cref` (positions ≥ 2 only —
     /// see [`Solver::remove_satisfied`] for why the watches are clean).
-    /// Each removal resolves against the literal's level-0 derivation, so
-    /// purity demotes unless that derivation was itself pure.
     fn strip_false_lits(&mut self, cref: u32) {
         let mut j = 2;
         while j < self.ca.len(cref) {
             let l = self.ca.lit(cref, j);
             if self.lit_value(l) == LBool::False {
-                if !self.zero_pure[l.var().index()] {
-                    self.ca.set_skeleton(cref, false);
-                }
                 self.ca.remove_lit(cref, j);
                 self.stats.strengthened += 1;
             } else {
@@ -1834,14 +1328,12 @@ impl Solver {
         // The pass is scoped to this batch of freshly landed clauses —
         // both the subsuming and the subsumed side. A clause that just
         // arrived has no embedding in the ongoing search, so deduplicating
-        // and strengthening *within* the batch (vault seeds and bus
-        // imports arrive in bursts full of near-duplicates) is pure
-        // savings; deleting or rewriting an *established* learnt, although
-        // equally sound, rips out structure the pooled solver's search
-        // already leans on and was measured as a net propagation loss on
-        // the bound-5 sweep. Established clauses are retired by the
-        // retention policy (`reduce_db`) and the satisfied-purge leg
-        // instead.
+        // and strengthening *within* the batch (bus imports arrive in
+        // bursts full of near-duplicates) is pure savings; deleting or
+        // rewriting an *established* learnt, although equally sound, rips
+        // out structure the search already leans on. Established clauses
+        // are retired by the retention policy (`reduce_db`) and the
+        // satisfied-purge leg instead.
         //
         // Occurrence lists (by variable, complement-insensitive) over the
         // batch. Entries go stale as the pass deletes and strengthens;
@@ -1867,7 +1359,6 @@ impl Solver {
                 continue;
             }
             let c_len = self.ca.len(c);
-            let c_pure = self.ca.is_skeleton(c);
             // Scan the occurrence list of C's rarest variable.
             let best = self
                 .ca
@@ -1913,7 +1404,7 @@ impl Solver {
                     Some(fl) => {
                         // Self-subsuming resolution: C ⊗ D on fl's variable
                         // yields D \ {fl} — strengthen D in place.
-                        self.strengthen_clause(d, fl, c_pure);
+                        self.strengthen_clause(d, fl);
                         if !self.ok {
                             return;
                         }
@@ -1924,28 +1415,23 @@ impl Solver {
     }
 
     /// Removes literal `l` from live clause `cref` (the resolvent of a
-    /// self-subsuming resolution whose other antecedent has purity
-    /// `resolvent_pure`), re-establishing the watch invariants against the
-    /// current level-0 trail: the shrunken clause may have become
-    /// satisfied, unit, or even empty through units enqueued earlier in the
-    /// same pass.
-    fn strengthen_clause(&mut self, cref: u32, l: Lit, resolvent_pure: bool) {
+    /// self-subsuming resolution), re-establishing the watch invariants
+    /// against the current level-0 trail: the shrunken clause may have
+    /// become satisfied, unit, or even empty through units enqueued earlier
+    /// in the same pass.
+    fn strengthen_clause(&mut self, cref: u32, l: Lit) {
         debug_assert_eq!(self.decision_level(), 0);
         self.stats.strengthened += 1;
-        if !resolvent_pure {
-            self.ca.set_skeleton(cref, false);
-        }
         self.detach_clause(cref);
         let pos = self
             .ca
             .iter_lits(cref)
             .position(|q| q == l)
             .expect("strengthened literal must be present");
-        let pure = self.ca.is_skeleton(cref);
         if self.ca.len(cref) == 2 {
             let unit = self.ca.lit(cref, 1 - pos);
             self.remove_clauses(&[cref]);
-            self.settle_unit(unit, pure);
+            self.settle_unit(unit);
             return;
         }
         self.ca.remove_lit(cref, pos);
@@ -1979,17 +1465,8 @@ impl Solver {
             }
             1 => {
                 let unit = self.ca.lit(cref, free[0]);
-                // The implied unit resolves the clause against the level-0
-                // derivations of its false literals.
-                let mut up = pure;
-                for j in 0..self.ca.len(cref) {
-                    let q = self.ca.lit(cref, j);
-                    if q != unit {
-                        up &= self.zero_pure[q.var().index()];
-                    }
-                }
                 self.remove_clauses(&[cref]);
-                self.settle_unit(unit, up);
+                self.settle_unit(unit);
             }
             _ => {
                 // The two free positions come out of one ascending scan
@@ -2007,17 +1484,12 @@ impl Solver {
 
     /// Records a unit clause derived at level 0 by inprocessing: exported
     /// like any learnt unit, enqueued, and propagated.
-    fn settle_unit(&mut self, l: Lit, pure: bool) {
-        self.fresh_units.push((l, pure));
+    fn settle_unit(&mut self, l: Lit) {
+        self.fresh_units.push(l);
         match self.lit_value(l) {
-            LBool::True => {
-                if pure {
-                    self.zero_pure[l.var().index()] = true;
-                }
-            }
+            LBool::True => {}
             LBool::False => self.ok = false,
             LBool::Undef => {
-                self.zero_pure[l.var().index()] = pure;
                 self.unchecked_enqueue(l, None);
                 if self.propagate().is_some() {
                     self.ok = false;
@@ -2036,16 +1508,14 @@ impl Solver {
     /// Exports the clauses learnt since the last exchange point.
     ///
     /// When a shared arena is attached, clauses mentioning any solver-local
-    /// variable (one allocated after the arena's, e.g. an activation guard
-    /// or a demand-translated Tseitin gate) are withheld: local indices are
-    /// private to this solver and would alias unrelated variables at a
-    /// peer. This is also what keeps guarded-blocking derivations — valid
-    /// only under this solver's own guard assumption — from ever leaving.
+    /// variable (one allocated after the arena's, e.g. a demand-translated
+    /// Tseitin gate) are withheld: local indices are private to this
+    /// solver and would alias unrelated variables at a peer.
     fn export_fresh(&mut self, exchange: &mut dyn ClauseExchange) {
         let exportable = self.shared.as_ref().map_or(usize::MAX, |s| s.num_vars());
-        for (l, pure) in std::mem::take(&mut self.fresh_units) {
+        for l in std::mem::take(&mut self.fresh_units) {
             if l.var().index() < exportable {
-                exchange.export(&[l], 1, pure);
+                exchange.export(&[l], 1);
             }
         }
         for cref in std::mem::take(&mut self.fresh_learnts) {
@@ -2060,7 +1530,7 @@ impl Solver {
                 continue;
             }
             let lits = self.ca.copy_lits(cref);
-            exchange.export(&lits, self.ca.lbd(cref), self.ca.is_skeleton(cref));
+            exchange.export(&lits, self.ca.lbd(cref));
         }
     }
 
@@ -2069,11 +1539,11 @@ impl Solver {
         debug_assert_eq!(self.decision_level(), 0);
         let mut buf = Vec::new();
         exchange.fetch(&mut buf);
-        for (lits, lbd, pure) in buf {
+        for (lits, lbd) in buf {
             if !self.ok {
                 break;
             }
-            self.import_clause(lits, lbd, pure);
+            self.import_clause(lits, lbd);
         }
     }
 
@@ -2095,7 +1565,7 @@ impl Solver {
                     // Conflict among the assumptions themselves.
                     return Some(SolveResult::Unsat);
                 }
-                let (learnt, bt, lbd, pure) = self.analyze(confl);
+                let (learnt, bt, lbd) = self.analyze(confl);
                 // Never backtrack past the assumption levels.
                 let bt = bt.max(self.trail_lim.len().min(assumptions.len()).min(bt));
                 self.cancel_until(bt);
@@ -2103,14 +1573,13 @@ impl Solver {
                 if learnt.len() == 1 {
                     // A learnt unit is a resolvent of database clauses, so
                     // it is exportable like any other learnt clause.
-                    self.fresh_units.push((asserting, pure));
+                    self.fresh_units.push(asserting);
                     if self.decision_level() == 0 {
                         if self.lit_value(asserting) == LBool::False {
                             self.ok = false;
                             return Some(SolveResult::Unsat);
                         }
                         if self.lit_value(asserting) == LBool::Undef {
-                            self.zero_pure[asserting.var().index()] = pure;
                             self.unchecked_enqueue(asserting, None);
                         }
                     } else {
@@ -2125,7 +1594,6 @@ impl Solver {
                 } else {
                     let cref = self.attach_new_clause(learnt, true);
                     self.set_learnt_lbd(cref, lbd.max(1));
-                    self.ca.set_skeleton(cref, pure);
                     self.fresh_learnts.push(cref);
                     if self.subsume_queue.len() < SUBSUME_QUEUE_CAP {
                         self.subsume_queue.push(cref);
@@ -2471,15 +1939,15 @@ mod shared_tests {
     /// `crates/portfolio`.
     #[derive(Default)]
     struct BufferExchange {
-        pool: Vec<(Vec<Lit>, u32, bool)>,
+        pool: Vec<(Vec<Lit>, u32)>,
         cursor: usize,
     }
 
     impl ClauseExchange for BufferExchange {
-        fn export(&mut self, lits: &[Lit], lbd: u32, skeleton: bool) {
-            self.pool.push((lits.to_vec(), lbd, skeleton));
+        fn export(&mut self, lits: &[Lit], lbd: u32) {
+            self.pool.push((lits.to_vec(), lbd));
         }
-        fn fetch(&mut self, out: &mut Vec<(Vec<Lit>, u32, bool)>) {
+        fn fetch(&mut self, out: &mut Vec<(Vec<Lit>, u32)>) {
             out.extend(self.pool[self.cursor..].iter().cloned());
             self.cursor = self.pool.len();
         }
@@ -2618,7 +2086,7 @@ mod shared_tests {
             // Every model in the other cube differs on the pinned observed
             // variable, so A's blocking clauses are satisfied there — the
             // worst-case import traffic for cube B.
-            bus.export(&block, block.len() as u32, false);
+            bus.export(&block, block.len() as u32);
             a_models.push(m);
             a.add_clause(block);
         }
@@ -2833,72 +2301,6 @@ mod shared_tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
-    fn add_pigeonhole(bld: &mut CnfBuilder) {
-        let p: Vec<Vec<Var>> = (0..4)
-            .map(|_| (0..3).map(|_| bld.new_var()).collect())
-            .collect();
-        for row in &p {
-            bld.add_clause(row.iter().map(|&v| Lit::pos(v)));
-        }
-        for (i1, row1) in p.iter().enumerate() {
-            for row2 in &p[i1 + 1..] {
-                for (&v1, &v2) in row1.iter().zip(row2) {
-                    bld.add_clause([Lit::neg(v1), Lit::neg(v2)]);
-                }
-            }
-        }
-    }
-
-    /// Provenance propagation: learnt clauses derived exclusively from
-    /// skeleton-tagged shared clauses export as skeleton-pure, and the
-    /// very same derivations export impure when the identical clauses sit
-    /// in a non-skeleton layer.
-    #[test]
-    fn learnt_purity_follows_layer_provenance() {
-        // Pigeonhole 4→3 is UNSAT, so the solver must learn clauses — and
-        // every antecedent lives in the single tagged layer.
-        for (skeleton, what) in [(true, "pure"), (false, "impure")] {
-            let mut bld = CnfBuilder::new();
-            add_pigeonhole(&mut bld);
-            let cnf = std::sync::Arc::new(bld.build_tagged(skeleton));
-            let mut bus = BufferExchange::default();
-            let mut s = Solver::attach_shared(cnf);
-            assert_eq!(s.solve_exchanging(&[], &mut bus), SolveResult::Unsat);
-            assert!(!bus.pool.is_empty(), "UNSAT proof should learn clauses");
-            assert!(
-                bus.pool.iter().all(|(_, _, pure)| *pure == skeleton),
-                "clauses derived only from a skeleton={skeleton} layer must export {what}"
-            );
-        }
-    }
-
-    /// Purity is preserved across layer chains: an axiom-style extension
-    /// layer whose clauses never join a conflict leaves skeleton-derived
-    /// learnt clauses pure.
-    #[test]
-    fn purity_survives_inert_extension_layers() {
-        let mut bld = CnfBuilder::new();
-        add_pigeonhole(&mut bld);
-        let base = bld.build_tagged(true);
-        let mut e = CnfBuilder::extending(&base);
-        let w = e.new_var();
-        let u = e.new_var();
-        // Extension units fix fresh variables at level 0; they cannot be
-        // antecedents of any conflict over the pigeonhole core.
-        e.add_clause([Lit::pos(w)]);
-        e.add_clause([Lit::neg(w), Lit::pos(u)]);
-        let chain = std::sync::Arc::new(e.build());
-        assert_eq!(chain.num_layers(), 2);
-        let mut bus = BufferExchange::default();
-        let mut s = Solver::attach_shared(chain);
-        assert_eq!(s.solve_exchanging(&[], &mut bus), SolveResult::Unsat);
-        assert!(!bus.pool.is_empty(), "UNSAT proof should learn clauses");
-        assert!(
-            bus.pool.iter().all(|(_, _, pure)| *pure),
-            "skeleton-only derivations must stay pure under an inert axiom layer"
-        );
-    }
-
     #[test]
     fn local_vars_and_clauses_extend_an_attached_solver() {
         let (cnf, vs) = exactly_one(4);
@@ -2928,21 +2330,16 @@ mod shared_tests {
 
     #[test]
     fn attach_arenas_with_units_and_empty_clauses() {
-        // Units in the arena propagate at attach time on both paths.
+        // Units in the arena propagate at attach time.
         let mut b = CnfBuilder::new();
         let x = b.new_var();
         let y = b.new_var();
         b.add_clause([Lit::pos(x)]);
         b.add_clause([Lit::neg(x), Lit::pos(y)]);
-        let cnf = std::sync::Arc::new(b.build());
-        for mut s in [
-            Solver::attach_shared(cnf.clone()),
-            Solver::attach_shared_lazy(cnf.clone()),
-        ] {
-            assert!(s.solve().is_sat());
-            assert_eq!(s.value(x), Some(true));
-            assert_eq!(s.value(y), Some(true));
-        }
+        let mut s = Solver::attach_shared(std::sync::Arc::new(b.build()));
+        assert!(s.solve().is_sat());
+        assert_eq!(s.value(x), Some(true));
+        assert_eq!(s.value(y), Some(true));
         // An arena holding an empty clause attaches as already-unsat.
         let mut b = CnfBuilder::new();
         let z = b.new_var();
@@ -2950,18 +2347,14 @@ mod shared_tests {
         b.add_clause([]);
         let cnf = std::sync::Arc::new(b.build());
         assert!(!cnf.is_ok());
-        for mut s in [
-            Solver::attach_shared(cnf.clone()),
-            Solver::attach_shared_lazy(cnf),
-        ] {
-            assert_eq!(s.solve(), SolveResult::Unsat);
-            assert!(!s.add_clause([Lit::pos(z)]), "an unsat attach stays unsat");
-        }
+        let mut s = Solver::attach_shared(cnf);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert!(!s.add_clause([Lit::pos(z)]), "an unsat attach stays unsat");
     }
 
     #[test]
     fn fresh_attach_resets_shared_watch_positions() {
-        // Pool-reuse shape: solver A enumerates against the arena (moving
+        // Solver A enumerates against the arena (moving
         // its private watch positions), then a fresh solver attaches to
         // the same arena — its `shared_watch` must start at [0, 1] for
         // every clause, unaffected by A's searches.
@@ -2975,13 +2368,9 @@ mod shared_tests {
         let mut fresh = Solver::attach_shared(cnf.clone());
         assert_eq!(fresh.shared_watch, vec![[0, 1]; cnf.num_clauses()]);
         assert_eq!(enumerate(&mut fresh, &vs, &[], &mut NoExchange).len(), 6);
-        // Same contract on the lazy path: dormant clauses keep the reset
-        // positions until activation installs real watchers.
-        let fresh_lazy = Solver::attach_shared_lazy(cnf.clone());
-        assert_eq!(fresh_lazy.shared_watch, vec![[0, 1]; cnf.num_clauses()]);
     }
 
-    // ----- lazy definitional activation -----
+    // ----- roots-first branching -----
 
     /// A three-layer chain: an exactly-one(4) skeleton, then two
     /// definitional cones — `g0 := v0 ∨ v2` and `g1 := g0 ∨ v3` (pure
@@ -3011,160 +2400,11 @@ mod shared_tests {
     }
 
     #[test]
-    fn lazy_attach_skips_dormant_cones_until_referenced() {
-        let (cnf, vs, _g0, _g1) = layered_chain();
-        let mut eager = Solver::attach_shared(cnf.clone());
-        let mut lazy = Solver::attach_shared_lazy(cnf.clone());
-        assert_eq!(eager.active_layer_count(), 3);
-        assert_eq!(
-            lazy.active_layer_count(),
-            1,
-            "definitional cones start dormant"
-        );
-        // A query that never touches the gates: identical model set over
-        // the skeleton, and no activation from skeleton-only blocking.
-        let me = enumerate(&mut eager, &vs, &[], &mut NoExchange);
-        let ml = enumerate(&mut lazy, &vs, &[], &mut NoExchange);
-        assert_eq!(me, ml);
-        assert_eq!(ml.len(), 4);
-        assert_eq!(lazy.active_layer_count(), 1);
-        assert!(
-            lazy.stats().propagations < eager.stats().propagations,
-            "dormant cones must not be propagated: lazy {} vs eager {}",
-            lazy.stats().propagations,
-            eager.stats().propagations
-        );
-    }
-
-    #[test]
-    fn assumptions_wake_cones_transitively_and_match_eager() {
-        let (cnf, vs, _g0, g1) = layered_chain();
-        let mut eager = Solver::attach_shared(cnf.clone());
-        let mut lazy = Solver::attach_shared_lazy(cnf.clone());
-        let assume = [Lit::pos(g1)];
-        let me = enumerate(&mut eager, &vs, &assume, &mut NoExchange);
-        let ml = enumerate(&mut lazy, &vs, &assume, &mut NoExchange);
-        assert_eq!(me, ml);
-        assert_eq!(ml.len(), 3, "g1 = v0 ∨ v2 ∨ v3 under exactly-one");
-        assert_eq!(
-            lazy.active_layer_count(),
-            3,
-            "assuming g1 must wake its cone and, transitively, g0's"
-        );
-    }
-
-    #[test]
-    fn adding_a_clause_on_a_dormant_cone_activates_it() {
-        let (cnf, vs, g0, _g1) = layered_chain();
-        let mut lazy = Solver::attach_shared_lazy(cnf.clone());
-        assert_eq!(lazy.active_layer_count(), 1);
-        lazy.add_clause([Lit::pos(g0)]);
-        assert_eq!(
-            lazy.active_layer_count(),
-            2,
-            "asserting g0 wakes only its cone"
-        );
-        let ml = enumerate(&mut lazy, &vs, &[], &mut NoExchange);
-        let mut eager = Solver::attach_shared(cnf);
-        eager.add_clause([Lit::pos(g0)]);
-        let me = enumerate(&mut eager, &vs, &[], &mut NoExchange);
-        assert_eq!(me, ml);
-        assert_eq!(ml.len(), 2, "g0 keeps exactly the v0 and v2 models");
-    }
-
-    #[test]
-    fn imports_over_dormant_cones_are_shelved_not_activating() {
-        let (cnf, vs, g0, g1) = layered_chain();
-        let mut lazy = Solver::attach_shared_lazy(cnf.clone());
-        let mut bus = BufferExchange::default();
-        // Peer clauses over dormant gates: redundant for this query, so
-        // parking them on the shelf must change nothing but effort.
-        bus.pool.push((vec![Lit::pos(g0), Lit::pos(g1)], 2, true));
-        bus.pool
-            .push((vec![Lit::neg(g1), Lit::pos(vs[3]), Lit::pos(g0)], 3, true));
-        let ml = enumerate(&mut lazy, &vs, &[], &mut bus);
-        assert_eq!(lazy.active_layer_count(), 1, "imports must not wake cones");
-        assert_eq!(lazy.shelved_count(), 2, "both imports wait on the shelf");
-        assert_eq!(lazy.stats().shelved_replayed, 0);
-        let mut eager = Solver::attach_shared(cnf.clone());
-        let me = enumerate(&mut eager, &vs, &[], &mut NoExchange);
-        assert_eq!(me, ml);
-        // Ablation knob: with shelving off the imports are dropped outright
-        // (the pre-fix behavior), still without waking any cone.
-        let mut dropper = Solver::attach_shared_lazy(cnf);
-        dropper.set_shelving(false);
-        let mut bus2 = BufferExchange::default();
-        bus2.pool.push((vec![Lit::pos(g0), Lit::pos(g1)], 2, true));
-        let md = enumerate(&mut dropper, &vs, &[], &mut bus2);
-        assert_eq!(md, me);
-        assert_eq!(dropper.active_layer_count(), 1);
-        assert_eq!(dropper.shelved_count(), 0, "shelving off means dropping");
-    }
-
-    #[test]
-    fn shelved_import_replays_and_prunes_once_its_cone_activates() {
-        // ¬g0 ∨ ¬v1 is implied (v1 excludes v0 and v2, and g0 = v0 ∨ v2)
-        // but over the dormant gate g0 at import time. Shelved, it must be
-        // installed by the activation that a later solve's assumptions
-        // trigger — and then prune the contradictory assumption pair
-        // {g0, v1} *directly*, with no conflict analysis at all.
-        let (cnf, vs, g0, _g1) = layered_chain();
-        let mut s = Solver::attach_shared_lazy(cnf.clone());
-        let mut bus = BufferExchange::default();
-        bus.pool
-            .push((vec![Lit::neg(g0), Lit::neg(vs[1])], 2, true));
-        assert!(s.solve_exchanging(&[], &mut bus).is_sat());
-        assert_eq!(s.shelved_count(), 1, "import over dormant g0 is shelved");
-        assert_eq!(s.active_layer_count(), 1);
-        let before = s.stats();
-        let r = s.solve_with_assumptions(&[Lit::pos(g0), Lit::pos(vs[1])]);
-        assert_eq!(r, SolveResult::Unsat);
-        let after = s.stats();
-        assert_eq!(after.shelved_replayed, 1, "activation replayed the shelf");
-        assert_eq!(s.shelved_count(), 0);
-        assert_eq!(
-            after.conflicts, before.conflicts,
-            "the replayed import falsifies the second assumption outright"
-        );
-        // Control: with shelving off the import is gone, and refuting the
-        // same assumption pair costs at least one analyzed conflict.
-        let mut ctrl = Solver::attach_shared_lazy(cnf);
-        ctrl.set_shelving(false);
-        let mut bus2 = BufferExchange::default();
-        bus2.pool
-            .push((vec![Lit::neg(g0), Lit::neg(vs[1])], 2, true));
-        assert!(ctrl.solve_exchanging(&[], &mut bus2).is_sat());
-        let before = ctrl.stats();
-        let r = ctrl.solve_with_assumptions(&[Lit::pos(g0), Lit::pos(vs[1])]);
-        assert_eq!(r, SolveResult::Unsat);
-        assert_eq!(ctrl.stats().shelved_replayed, 0);
-        assert!(
-            ctrl.stats().conflicts > before.conflicts,
-            "without the import the refutation needs conflict analysis"
-        );
-    }
-
-    #[test]
-    fn shelved_import_replays_on_declare_roots() {
-        let (cnf, vs, g0, _g1) = layered_chain();
-        let mut s = Solver::attach_shared_lazy(cnf);
-        let mut bus = BufferExchange::default();
-        bus.pool
-            .push((vec![Lit::neg(g0), Lit::neg(vs[1])], 2, true));
-        assert!(s.solve_exchanging(&[], &mut bus).is_sat());
-        assert_eq!(s.shelved_count(), 1);
-        s.declare_roots([Lit::pos(g0)]);
-        assert_eq!(s.stats().shelved_replayed, 1);
-        assert_eq!(s.shelved_count(), 0);
-        assert_eq!(s.active_layer_count(), 2, "only g0's cone woke");
-    }
-
-    #[test]
     fn decision_domain_branches_on_declared_cone_first() {
         let (cnf, vs, g0, _g1) = layered_chain();
         let mut eager = Solver::attach_shared(cnf.clone());
         let me = enumerate(&mut eager, &vs, &[Lit::pos(g0)], &mut NoExchange);
-        let mut s = Solver::attach_shared_lazy(cnf.clone());
+        let mut s = Solver::attach_shared(cnf.clone());
         s.set_domain_enabled(true);
         s.declare_roots([Lit::pos(g0)]);
         let md = enumerate(&mut s, &vs, &[Lit::pos(g0)], &mut NoExchange);
@@ -3176,7 +2416,7 @@ mod shared_tests {
         );
         assert!(st.domain_decisions <= st.decisions);
         // Default-off: a solver that never enables the domain reports 0.
-        let mut plain = Solver::attach_shared_lazy(cnf);
+        let mut plain = Solver::attach_shared(cnf);
         let _ = enumerate(&mut plain, &vs, &[Lit::pos(g0)], &mut NoExchange);
         assert_eq!(plain.stats().domain_decisions, 0);
     }
@@ -3189,7 +2429,7 @@ mod shared_tests {
         // v1 ∨ v3 undetermined — so the SAT answer requires at least one
         // global (non-domain) decision.
         let (cnf, _vs, g0, _g1) = layered_chain();
-        let mut s = Solver::attach_shared_lazy(cnf);
+        let mut s = Solver::attach_shared(cnf);
         s.set_domain_enabled(true);
         s.declare_roots([Lit::pos(g0)]);
         assert!(s.solve().is_sat());
@@ -3247,11 +2487,11 @@ mod shared_tests {
         let c = s.new_var();
         let d = s.new_var();
         let mut bus = BufferExchange::default();
-        bus.pool.push((vec![Lit::pos(a), Lit::pos(b)], 2, false));
+        bus.pool.push((vec![Lit::pos(a), Lit::pos(b)], 2));
         bus.pool
-            .push((vec![Lit::pos(a), Lit::pos(b), Lit::pos(c)], 3, false));
+            .push((vec![Lit::pos(a), Lit::pos(b), Lit::pos(c)], 3));
         bus.pool
-            .push((vec![Lit::neg(a), Lit::pos(b), Lit::pos(d)], 3, false));
+            .push((vec![Lit::neg(a), Lit::pos(b), Lit::pos(d)], 3));
         assert!(s.solve_exchanging(&[], &mut bus).is_sat());
         let st = s.stats();
         assert!(st.subsumed >= 1, "exact subsumption must fire");
@@ -3260,10 +2500,10 @@ mod shared_tests {
 
     #[test]
     fn tiered_retention_shrinks_pooled_solver_across_tasks() {
-        // The pooled-solver shape: one long-lived solver, consecutive
-        // hard queries. The size-triggered reduce must keep the live
-        // learnt count near the LOCAL budget instead of growing without
-        // bound, and the tier counters must stay consistent.
+        // One long-lived solver on a hard query: the size-triggered reduce
+        // must keep the live learnt count near the LOCAL budget instead of
+        // growing without bound, and the tier counters must stay
+        // consistent.
         let mut s = Solver::attach_shared(hard_pigeonhole());
         s.set_learnt_budget(20);
         assert_eq!(s.solve(), SolveResult::Unsat);
@@ -3301,25 +2541,16 @@ mod shared_tests {
         let mut reference: Option<Vec<Vec<bool>>> = None;
         for inproc in [false, true] {
             for tiers in [false, true] {
-                for lazy in [false, true] {
-                    let mut s = if lazy {
-                        Solver::attach_shared_lazy(cnf.clone())
-                    } else {
-                        Solver::attach_shared(cnf.clone())
-                    };
-                    s.set_inprocessing(inproc);
-                    s.set_tiered_retention(tiers);
-                    s.set_learnt_budget(4);
-                    let mut bus = BufferExchange::default();
-                    let models = enumerate(&mut s, &vs, &[], &mut bus);
-                    assert_eq!(models.len(), 8);
-                    match &reference {
-                        None => reference = Some(models),
-                        Some(r) => assert_eq!(
-                            &models, r,
-                            "inproc={inproc} tiers={tiers} lazy={lazy} diverged"
-                        ),
-                    }
+                let mut s = Solver::attach_shared(cnf.clone());
+                s.set_inprocessing(inproc);
+                s.set_tiered_retention(tiers);
+                s.set_learnt_budget(4);
+                let mut bus = BufferExchange::default();
+                let models = enumerate(&mut s, &vs, &[], &mut bus);
+                assert_eq!(models.len(), 8);
+                match &reference {
+                    None => reference = Some(models),
+                    Some(r) => assert_eq!(&models, r, "inproc={inproc} tiers={tiers} diverged"),
                 }
             }
         }
@@ -3335,7 +2566,7 @@ mod shared_tests {
         let vs: Vec<Var> = (0..4).map(|_| s.new_var()).collect();
         let mut bus = BufferExchange::default();
         bus.pool
-            .push((vs.iter().map(|&v| Lit::pos(v)).collect(), 2, false));
+            .push((vs.iter().map(|&v| Lit::pos(v)).collect(), 2));
         assert!(s.solve_exchanging(&[], &mut bus).is_sat());
         let st = s.stats();
         assert_eq!(st.learnts_core, 1, "sender LBD 2 files the import as CORE");
