@@ -408,8 +408,8 @@ fn attempt_budget(task: &Task, attempt: usize, start: Instant) -> SolveBudget {
 /// Enumerates one cube of one (axiom, bound) query on the current thread.
 ///
 /// The first worker of a query to arrive compiles it (once) into the
-/// shared `OnceLock`; every attempt then attaches a fresh private solver
-/// to the shared clause arena and trades learnt clauses over the query's
+/// shared `OnceLock`; every attempt then loads a fresh private solver
+/// with a copy of its clauses and trades learnt clauses over the query's
 /// exchange bus. A retried attempt therefore re-enumerates its whole cube
 /// again, deterministically. On the final attempt exchange imports
 /// are disabled for maximal independence from peer timing (exports still

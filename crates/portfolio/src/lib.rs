@@ -10,9 +10,10 @@
 //! transform and solved cold. The portfolio fixes all three costs:
 //!
 //! * **Compile once** — [`CompiledQuery`] translates the query circuit to
-//!   an immutable shared clause arena exactly once; workers attach in
-//!   O(vars + clauses) via [`CompiledQuery::attach`] and share the arena by
-//!   reference ([`litsynth_relalg::CompiledCircuit`] /
+//!   an immutable CNF exactly once; each worker attaches via
+//!   [`CompiledQuery::attach`], which copies the clauses into the worker's
+//!   own solver in O(vars + literals)
+//!   ([`litsynth_relalg::CompiledCircuit`] /
 //!   [`litsynth_sat::Solver::attach_shared`] underneath).
 //! * **Exchange learnt clauses** — cube workers publish learnt clauses
 //!   under an LBD/size filter to an [`ExchangeBus`] and import peers'

@@ -29,7 +29,7 @@ impl Default for CubeConfig {
 /// `CompiledQuery` is `Sync`: workers share it behind an `Arc` (typically
 /// through a `OnceLock` so whichever worker arrives first pays the
 /// compilation) and each calls [`CompiledQuery::attach`] for a private
-/// solver over the shared clause arena.
+/// solver loaded with a copy of the compiled clauses.
 #[derive(Debug)]
 pub struct CompiledQuery {
     circuit: Circuit,
@@ -85,7 +85,7 @@ impl CompiledQuery {
         &self.compiled
     }
 
-    /// A fresh private finder over the shared clause arena.
+    /// A fresh private finder, loaded with a copy of the compiled clauses.
     pub fn attach(&self) -> Finder {
         Finder::attach(&self.compiled)
     }

@@ -3,10 +3,10 @@
 //! [`Finder`](crate::Finder) translates on demand into a private solver, so
 //! every enumeration worker of a cube-split query used to redo the same
 //! Tseitin transform. A [`CompiledCircuit`] performs that transform exactly
-//! once, into an immutable [`SharedCnf`] arena plus the node→variable map,
-//! and any number of finders then attach to it via
-//! [`Finder::attach`](crate::Finder::attach) — sharing the clause arena by
-//! reference and cloning only the (small) variable maps.
+//! once, into an immutable [`SharedCnf`] plus the node→variable map, and
+//! any number of finders then attach to it via
+//! [`Finder::attach`](crate::Finder::attach) — each copying the clauses
+//! into its own solver and cloning the variable maps.
 
 use crate::circuit::{Bit, Circuit, Node};
 use litsynth_sat::{CnfBuilder, Lit, SharedCnf, Var};
@@ -64,7 +64,7 @@ pub fn reused_clauses() -> u64 {
 
 /// The frozen result of Tseitin-translating a circuit once.
 ///
-/// Holds the shared clause arena and the maps a [`Finder`](crate::Finder)
+/// Holds the compiled CNF and the maps a [`Finder`](crate::Finder)
 /// needs to resume translation incrementally (e.g. for blocking clauses
 /// over bits that were not compiled as roots).
 #[derive(Debug)]
@@ -132,10 +132,9 @@ impl CompiledCircuit {
 
     /// [`CompiledCircuit::extend`], additionally tagging the new layer
     /// *definitional* ([`litsynth_sat::CnfLayer::is_definitional`]): a
-    /// pure Tseitin cone that [`litsynth_sat::SharedCnf::cone_vars`] walks
-    /// gate by gate. The tag's promise — every clause
-    /// mentions a layer-own gate variable, and those gates are functions
-    /// of earlier variables — holds for any `translate_cones` output by
+    /// pure Tseitin cone. The tag's promise — every clause mentions a
+    /// layer-own gate variable, and those gates are functions of earlier
+    /// variables — holds for any `translate_cones` output by
     /// construction: each emitted clause names the fresh variable it
     /// defines (the AND-gate triple and the const-true unit both contain
     /// their own fresh var; inputs emit no clauses at all).
@@ -177,7 +176,7 @@ impl CompiledCircuit {
         }
     }
 
-    /// The shared clause arena.
+    /// The compiled CNF.
     pub fn cnf(&self) -> &Arc<SharedCnf> {
         &self.cnf
     }

@@ -107,16 +107,16 @@ impl Finder {
 
     /// Creates a finder attached to a pre-compiled circuit.
     ///
-    /// The CNF clauses stay in the compiled circuit's shared arena — only
-    /// the node→variable maps are cloned — so a portfolio of workers pays
-    /// the Tseitin transform once (see [`CompiledCircuit::compile`]) and
-    /// each attach is cheap. The finder behaves exactly like one built with
-    /// [`Finder::new`] afterwards: blocking clauses, incremental
-    /// translation of uncompiled bits, and assumptions all work, privately
-    /// per finder.
+    /// The solver copies the compiled CNF clauses into its own arena and
+    /// the finder clones the node→variable maps, so a portfolio of workers
+    /// pays the Tseitin transform once (see [`CompiledCircuit::compile`])
+    /// and each attach is a flat copy; the compilation is only read. The
+    /// finder behaves exactly like one built with [`Finder::new`]
+    /// afterwards: blocking clauses, incremental translation of uncompiled
+    /// bits, and assumptions all work, privately per finder.
     pub fn attach(compiled: &CompiledCircuit) -> Finder {
         Finder {
-            solver: Solver::attach_shared(compiled.cnf().clone()),
+            solver: Solver::attach_shared(compiled.cnf()),
             node_var: compiled.node_var().to_vec(),
             const_true: compiled.const_true(),
             input_of_var: compiled.input_of_var().to_vec(),

@@ -1,8 +1,9 @@
-//! Flat clause arena: the solver's local clause database as one `u32` slab.
+//! Flat clause arena: the solver's clause database as one `u32` slab.
 //!
-//! Every local clause — original or learnt — lives in a single `Vec<u32>`,
-//! addressed by a `CRef` (the word offset of its header). The layout per
-//! clause is three header words followed by the literal codes:
+//! Every clause — loaded from a compilation, added, or learnt — lives in a
+//! single `Vec<u32>`, addressed by a `CRef` (the word offset of its
+//! header). The layout per clause is three header words followed by the
+//! literal codes:
 //!
 //! ```text
 //! word 0   size << 6 | flags        (LEARNT, IMPORTED, DELETED, RELOC,
@@ -21,8 +22,6 @@
 //!
 //! Invariants:
 //!
-//! * A `CRef` is always `< 1 << 31`: the solver reserves the high bit for
-//!   references into the shared [`crate::SharedCnf`] arena.
 //! * Freed blocks are never relocated — the GC walks only live roots
 //!   (watchers, reasons, the solver's clause lists), so a block on the
 //!   free list is unreachable by construction.
@@ -68,6 +67,12 @@ pub(crate) struct ClauseArena {
 }
 
 impl ClauseArena {
+    /// Slab words needed to hold `clauses` clauses with `lits` literals in
+    /// total.
+    pub(crate) fn words_for(clauses: usize, lits: usize) -> usize {
+        clauses * HEADER + lits
+    }
+
     pub(crate) fn with_capacity(words: usize) -> ClauseArena {
         ClauseArena {
             data: Vec::with_capacity(words),
@@ -92,8 +97,8 @@ impl ClauseArena {
             }
         };
         debug_assert!(
-            (cref as u64 + total as u64) < (1 << 31),
-            "local clause arena overflow"
+            cref as u64 + total as u64 <= u32::MAX as u64,
+            "clause arena overflow"
         );
         let base = cref as usize;
         self.data[base] = ((lits.len() as u32) << SIZE_SHIFT) | if learnt { LEARNT } else { 0 };

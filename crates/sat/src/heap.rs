@@ -125,7 +125,7 @@ impl ActivityHeap {
 /// activity heap holding the marked-and-unassigned ones.
 ///
 /// The solver rebuilds the mark once per query (at
-/// [`declare_roots`](crate::Solver::declare_roots), O(cone)) and then
+/// [`declare_roots`](crate::Solver::declare_roots), O(roots)) and then
 /// enables/disables it per solve in O(1) — disabling is a flag flip in the
 /// solver, re-enabling reuses the surviving heap, and replacing the domain
 /// is a generation bump that invalidates every old stamp at once without

@@ -9,7 +9,8 @@
 //!
 //! The solver implements the standard modern architecture:
 //!
-//! * two-watched-literal unit propagation,
+//! * two-watched-literal unit propagation over a literal-indexed
+//!   assignment,
 //! * first-UIP conflict analysis with clause minimization,
 //! * VSIDS variable activity with an indexed max-heap,
 //! * phase saving,
@@ -24,8 +25,9 @@
 //!   blocking-clause model enumeration).
 //!
 //! For portfolio solving, a formula can be compiled once into an immutable
-//! [`SharedCnf`] arena (via [`CnfBuilder`]) and attached to any number of
-//! solvers with [`Solver::attach_shared`]; cooperating solvers can trade
+//! [`SharedCnf`] (via [`CnfBuilder`]) and loaded into any number of
+//! solvers with [`Solver::attach_shared`], each of which copies the
+//! clauses into its own flat arena; cooperating solvers can trade
 //! learnt clauses through a [`ClauseExchange`] endpoint via
 //! [`Solver::solve_exchanging`], and [`Solver::solve_limited`] supports
 //! short probing runs whose VSIDS activities ([`Solver::activity`]) drive
@@ -68,7 +70,7 @@ pub mod dimacs;
 pub use budget::{BudgetedResult, CancelToken, Interrupt, SolveBudget};
 pub use exchange::{ClauseExchange, NoExchange};
 pub use fault::{FaultAction, FaultCtx, FaultPlan, FaultPlanError, FaultSite};
-pub use shared::{CnfBuilder, CnfLayer, GateDef, SharedCnf};
+pub use shared::{CnfBuilder, CnfLayer, SharedCnf};
 pub use solver::{SolveResult, Solver, SolverStats};
 pub use types::{Lit, Var};
 

@@ -1,13 +1,11 @@
-//! Layered compile-once CNF sharing.
+//! Compile-once CNF formulas.
 //!
 //! A [`SharedCnf`] is an immutable CNF formula stored as a chain of
 //! reference-counted [`CnfLayer`]s. It is built once with a [`CnfBuilder`]
-//! and then attached to any number of solvers via
-//! [`crate::Solver::attach_shared`]; the attached solvers read clause
-//! literals straight out of the (`Arc`'d) layer arenas and keep only their
-//! tiny per-clause watch metadata private. This is what lets a portfolio
-//! of cube workers solve the same compiled query without each
-//! re-translating — or even copying — the clause database.
+//! and then loaded into any number of solvers via
+//! [`crate::Solver::attach_shared`], each of which copies the clauses into
+//! its own arena. This is what lets a portfolio of cube workers solve the
+//! same compiled query without each re-translating it.
 //!
 //! The layering is what makes compilation incremental: a builder created
 //! with [`CnfBuilder::extending`] continues variable numbering where the
@@ -28,10 +26,7 @@
 //! `[prev.num_vars(), num_vars())` ([`SharedCnf::layer_var_range`]) and
 //! the contiguous clause range [`SharedCnf::layer_clause_range`] ("which
 //! layer owns this variable" is a single binary search,
-//! [`SharedCnf::layer_of_var`]), and a definitional layer additionally
-//! indexes, per gate variable, the clauses and units defining that gate
-//! ([`CnfLayer::gate_defs`]), which is what [`SharedCnf::cone_vars`]
-//! walks.
+//! [`SharedCnf::layer_of_var`]).
 
 use crate::types::{Lit, Var};
 use std::sync::Arc;
@@ -67,30 +62,8 @@ pub struct CnfLayer {
     /// constraint over the layer's own gate variables (a definition cone):
     /// the layer asserts nothing by itself.
     definitional: bool,
-    /// First variable index owned by this layer (`num_vars` of the
-    /// previous layer in the chain).
-    first_var: usize,
-    /// Definitional layers only: CSR index from layer-own gate variable to
-    /// the items (clauses/units) defining it. `def_start.len()` is the
-    /// layer's own variable count + 1; `def_items[def_start[v-first_var]..
-    /// def_start[v-first_var+1]]` encodes a layer-local non-unit clause
-    /// index as `ci << 1` and a layer-local unit index as `ui << 1 | 1`.
-    /// Empty for non-definitional layers.
-    def_start: Vec<u32>,
-    def_items: Vec<u32>,
     /// Content fingerprint of the whole chain ending at this layer.
     fingerprint: u64,
-}
-
-/// One item defining a gate variable of a definitional [`CnfLayer`]: a
-/// layer-local non-unit clause index, or a unit literal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GateDef {
-    /// Index into the layer's non-unit clauses (layer-local; add the
-    /// layer's flat clause offset to address the solver's arena).
-    Clause(usize),
-    /// A unit clause (e.g. the constant-true gate's pin).
-    Unit(Lit),
 }
 
 impl CnfLayer {
@@ -105,8 +78,7 @@ impl CnfLayer {
     }
 
     /// `true` when this layer is a pure definition cone (see
-    /// [`CnfBuilder::build_layer`]), whose gates [`SharedCnf::cone_vars`]
-    /// expands.
+    /// [`CnfBuilder::build_layer`]).
     pub fn is_definitional(&self) -> bool {
         self.definitional
     }
@@ -120,30 +92,6 @@ impl CnfLayer {
     /// cumulative count, not the layer's own).
     pub fn num_vars(&self) -> usize {
         self.num_vars
-    }
-
-    /// First variable index owned by this layer.
-    pub fn first_var(&self) -> usize {
-        self.first_var
-    }
-
-    /// The items defining gate variable `v` of a definitional layer: the
-    /// clauses whose freshest variable is `v`, in layer order. Empty for
-    /// non-definitional layers, input variables (which have no defining
-    /// clauses), and variables outside the layer.
-    pub fn gate_defs(&self, v: Var) -> impl Iterator<Item = GateDef> + '_ {
-        let i = v.index().wrapping_sub(self.first_var);
-        let range = match (self.def_start.get(i), self.def_start.get(i + 1)) {
-            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
-            _ => 0..0,
-        };
-        self.def_items[range].iter().map(|&item| {
-            if item & 1 == 0 {
-                GateDef::Clause((item >> 1) as usize)
-            } else {
-                GateDef::Unit(self.units[(item >> 1) as usize])
-            }
-        })
     }
 
     /// The cumulative chain fingerprint ending at this layer. Equal
@@ -258,55 +206,6 @@ impl SharedCnf {
     pub fn fingerprint(&self) -> u64 {
         self.layers.last().map_or(FNV_OFFSET, |l| l.fingerprint)
     }
-
-    /// The definitional cone of `roots`: every variable reachable from a
-    /// root by repeatedly following [`CnfLayer::gate_defs`] through
-    /// definitional layers. Variables owned by non-definitional layers are
-    /// included but not expanded (they have no defining clauses to chase),
-    /// exactly mirroring the closure [`crate::Solver::activate_vars`]
-    /// computes when it wakes a cone. The result is deduplicated; its
-    /// order is a deterministic function of the root order.
-    pub fn cone_vars(&self, roots: impl IntoIterator<Item = Var>) -> Vec<Var> {
-        let mut seen = vec![false; self.num_vars];
-        let mut out = Vec::new();
-        let mut worklist: Vec<Var> = Vec::new();
-        for r in roots {
-            if r.index() < self.num_vars && !seen[r.index()] {
-                seen[r.index()] = true;
-                worklist.push(r);
-            }
-        }
-        while let Some(v) = worklist.pop() {
-            out.push(v);
-            let li = self.layer_of_var(v);
-            let layer = &self.layers[li];
-            if !layer.definitional {
-                continue;
-            }
-            let clause_base = self.clause_start[li];
-            for def in layer.gate_defs(v) {
-                match def {
-                    GateDef::Unit(u) => {
-                        let w = u.var();
-                        if !seen[w.index()] {
-                            seen[w.index()] = true;
-                            worklist.push(w);
-                        }
-                    }
-                    GateDef::Clause(local) => {
-                        for &l in self.clause(clause_base + local) {
-                            let w = l.var();
-                            if !seen[w.index()] {
-                                seen[w.index()] = true;
-                                worklist.push(w);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Builds a [`SharedCnf`], mirroring the clause normalization that
@@ -406,58 +305,29 @@ impl CnfBuilder {
     /// additionally promises that every clause of the new layer is a
     /// Tseitin naming constraint — its freshest (maximum) variable is one
     /// of the layer's own gate variables, defined as a function of
-    /// strictly older variables — so the layer asserts nothing by itself
-    /// and [`SharedCnf::cone_vars`] may walk it gate by gate. The promise
-    /// is checked
-    /// structurally here (every clause must be owned by a layer-own
-    /// variable); the deeper functional property is the encoder's contract
-    /// — `litsynth-relalg` is the only producer.
+    /// strictly older variables — so the layer asserts nothing by itself.
+    /// The promise is checked structurally here (every clause must be
+    /// owned by a layer-own variable); the deeper functional property is
+    /// the encoder's contract — `litsynth-relalg` is the only producer.
     ///
     /// # Panics
     ///
     /// Panics if `definitional` is set and some clause of the new layer
     /// contains no layer-own variable.
     pub fn build_layer(self, skeleton: bool, definitional: bool) -> SharedCnf {
-        let first_var = self.base.last().map_or(0, |l| l.num_vars);
-        let (def_start, def_items) = if definitional {
-            let own = self.num_vars - first_var;
-            let owner_of = |lits: &[Lit]| -> usize {
-                let v = lits.iter().map(|l| l.var().index()).max().unwrap_or(0);
+        if definitional {
+            let first_var = self.base.last().map_or(0, |l| l.num_vars);
+            let clauses = self
+                .ranges
+                .iter()
+                .map(|&(start, len)| &self.lits[start as usize..(start + len) as usize]);
+            for lits in clauses.chain(self.units.iter().map(std::slice::from_ref)) {
                 assert!(
-                    v >= first_var && !lits.is_empty(),
+                    lits.iter().any(|l| l.var().index() >= first_var),
                     "definitional layer clause owns no layer variable"
                 );
-                v - first_var
-            };
-            let mut counts = vec![0u32; own + 1];
-            for &(start, len) in &self.ranges {
-                counts[owner_of(&self.lits[start as usize..(start + len) as usize])] += 1;
             }
-            for &u in &self.units {
-                counts[owner_of(std::slice::from_ref(&u))] += 1;
-            }
-            let mut def_start = vec![0u32; own + 1];
-            for i in 0..own {
-                def_start[i + 1] = def_start[i] + counts[i];
-            }
-            let mut next = def_start.clone();
-            let mut def_items = vec![0u32; def_start[own] as usize];
-            // Fill in layer order per owner: clauses first, then units —
-            // activation replays them in this order.
-            for (ci, &(start, len)) in self.ranges.iter().enumerate() {
-                let o = owner_of(&self.lits[start as usize..(start + len) as usize]);
-                def_items[next[o] as usize] = (ci as u32) << 1;
-                next[o] += 1;
-            }
-            for (ui, &u) in self.units.iter().enumerate() {
-                let o = owner_of(std::slice::from_ref(&u));
-                def_items[next[o] as usize] = (ui as u32) << 1 | 1;
-                next[o] += 1;
-            }
-            (def_start, def_items)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        }
         let mut fp = self.base.last().map_or(FNV_OFFSET, |l| l.fingerprint);
         fp = fnv_fold_u64(fp, self.num_vars as u64);
         fp = fnv_fold_u64(fp, skeleton as u64 | (definitional as u64) << 1);
@@ -478,9 +348,6 @@ impl CnfBuilder {
             units: self.units,
             skeleton,
             definitional,
-            first_var,
-            def_start,
-            def_items,
             fingerprint: fp,
         });
         let mut layers = self.base;
@@ -640,44 +507,6 @@ mod tests {
         // The definitional tag is part of the chain fingerprint: two
         // chains that differ only in it are different formulas.
         assert_ne!(ext.fingerprint(), extend(false).fingerprint());
-    }
-
-    #[test]
-    fn cone_vars_walks_definitional_defs_only() {
-        // Skeleton over v0, v1; then two stacked definitional cones
-        // g0 := v0 ∨ v1 and g1 := g0 ∨ v1.
-        let mut b = CnfBuilder::new();
-        let v0 = b.new_var();
-        let v1 = b.new_var();
-        b.add_clause([Lit::pos(v0), Lit::pos(v1)]);
-        let base = b.build_tagged(true);
-        let mut e1 = CnfBuilder::extending(&base);
-        let g0 = e1.new_var();
-        e1.add_clause([Lit::neg(g0), Lit::pos(v0), Lit::pos(v1)]);
-        e1.add_clause([Lit::pos(g0), Lit::neg(v0)]);
-        e1.add_clause([Lit::pos(g0), Lit::neg(v1)]);
-        let l1 = e1.build_layer(true, true);
-        let mut e2 = CnfBuilder::extending(&l1);
-        let g1 = e2.new_var();
-        e2.add_clause([Lit::neg(g1), Lit::pos(g0), Lit::pos(v1)]);
-        e2.add_clause([Lit::pos(g1), Lit::neg(g0)]);
-        e2.add_clause([Lit::pos(g1), Lit::neg(v1)]);
-        let chain = e2.build_layer(true, true);
-        let sorted = |mut v: Vec<Var>| {
-            v.sort();
-            v
-        };
-        // A skeleton root does not expand (its layer has no gate defs).
-        assert_eq!(sorted(chain.cone_vars([v0])), vec![v0]);
-        // g0's cone pulls in its skeleton inputs.
-        assert_eq!(sorted(chain.cone_vars([g0])), vec![v0, v1, g0]);
-        // g1 chains through g0 transitively.
-        assert_eq!(sorted(chain.cone_vars([g1])), vec![v0, v1, g0, g1]);
-        // Duplicated and out-of-range roots are tolerated and deduped.
-        assert_eq!(
-            sorted(chain.cone_vars([g0, g0, Var::from_index(99)])),
-            vec![v0, v1, g0]
-        );
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::fault::FaultAction;
 use crate::heap::{ActivityHeap, DecisionDomain};
 use crate::shared::SharedCnf;
 use crate::types::{LBool, Lit, Var};
-use std::sync::Arc;
 
 /// Result of a [`Solver::solve`] call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,9 +40,8 @@ pub struct SolverStats {
     /// Decisions served from the declared roots first (always ≤
     /// `decisions`; 0 unless roots-first branching is enabled).
     pub domain_decisions: u64,
-    /// Level-0 inprocessing: local clauses purged because they were
-    /// satisfied at level 0 (plus shared clauses whose private watchers
-    /// were dropped for the same reason).
+    /// Level-0 inprocessing: clauses purged because they were satisfied at
+    /// level 0.
     pub simplify_removed: u64,
     /// Learnt clauses deleted because another learnt clause subsumed them.
     pub subsumed: u64,
@@ -99,27 +97,22 @@ fn tier_for_lbd(lbd: u32) -> u32 {
     }
 }
 
-/// High bit of a clause reference: set for clauses living in the shared
-/// arena ([`SharedCnf`]), clear for clauses in this solver's local database.
-const SHARED_BIT: u32 = 1 << 31;
-
 /// A CDCL SAT solver. See the crate-level documentation for an overview and
 /// example.
 ///
-/// A solver owns its clause database — unless it was created with
-/// [`Solver::attach_shared`], in which case the original clauses live in an
-/// immutable, reference-counted [`SharedCnf`] arena that any number of
-/// sibling solvers read concurrently. Only the per-clause watch positions
-/// (two `u32`s each) are private to the attached solver; learnt clauses and
-/// incrementally added clauses (e.g. enumeration blocking clauses) stay
-/// local as usual.
+/// A solver owns its whole clause database. [`Solver::attach_shared`]
+/// copies a compiled [`SharedCnf`] into the solver's own flat arena, so a
+/// loaded solver watches, reorders and deletes the compiled clauses exactly
+/// like the ones it adds itself (learnt clauses, enumeration blocking
+/// clauses); the compilation it was loaded from is never touched and can
+/// load any number of further solvers.
 #[derive(Debug, Default)]
 pub struct Solver {
-    /// The flat local clause database: originals and learnts live side by
-    /// side in one `u32` slab, addressed by word-offset crefs (see
-    /// [`ClauseArena`]). Local crefs stay below [`SHARED_BIT`].
+    /// The flat clause database: originals and learnts live side by side
+    /// in one `u32` slab, addressed by word-offset crefs (see
+    /// [`ClauseArena`]).
     ca: ClauseArena,
-    /// CRefs of the live original (non-learnt) local clauses.
+    /// CRefs of the live original (non-learnt) clauses.
     local_clauses: Vec<u32>,
     /// CRefs of the live learnt clauses.
     learnt_refs: Vec<u32>,
@@ -140,7 +133,9 @@ pub struct Solver {
     /// [`Solver::set_tiered_retention`]).
     tiered: bool,
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// The current assignment, indexed by [`Lit::code`]: a literal's value
+    /// is one load, and assigning a variable writes both of its literals.
+    value: Vec<LBool>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
     heap: ActivityHeap,
@@ -153,16 +148,18 @@ pub struct Solver {
     var_inc: f64,
     cla_inc: f64,
     seen: Vec<bool>,
+    /// The last satisfying assignment, indexed like `value`.
     model: Vec<LBool>,
     stats: SolverStats,
     max_learnts: f64,
-    /// The shared clause arena, if attached.
-    shared: Option<Arc<SharedCnf>>,
-    /// Per-shared-clause watched positions (indices into the clause's
-    /// literal slice). The arena is immutable, so the usual MiniSAT trick
-    /// of swapping watched literals to the front is replaced by this tiny
-    /// per-solver table.
-    shared_watch: Vec<[u32; 2]>,
+    /// Variables of the loaded compilation (`usize::MAX` for a solver
+    /// built from scratch). Only clauses over these travel through an
+    /// exchange: a variable allocated after loading is private to this
+    /// solver and would alias an unrelated one at a peer.
+    attached_vars: usize,
+    /// Unit clauses of the loaded compilation. They are enqueued at level
+    /// 0 rather than stored, and [`Solver::num_clauses`] counts them.
+    attached_units: usize,
     /// Local crefs of clauses learnt since the last exchange point.
     fresh_learnts: Vec<u32>,
     /// Unit clauses learnt since the last exchange point (units never get
@@ -196,41 +193,34 @@ impl Solver {
             simp_db_assigns: usize::MAX,
             inprocess: true,
             tiered: true,
+            attached_vars: usize::MAX,
             ..Solver::default()
         }
     }
 
-    /// Creates a solver attached to a pre-compiled shared formula.
+    /// Creates a solver loaded with a pre-compiled formula.
     ///
-    /// The arena's variables are allocated, its clauses are watched in
-    /// place (no literals are copied), and its unit clauses are enqueued
-    /// and propagated. The attach cost is O(vars + clauses), independent of
-    /// the total literal count — cheap enough to hand every portfolio
-    /// worker its own solver over one compilation.
-    pub fn attach_shared(shared: Arc<SharedCnf>) -> Solver {
+    /// The formula's variables are allocated, its clauses are copied in
+    /// compile order into the solver's own arena (sized exactly, one slab
+    /// copy per clause) and each watches its first two literals, and its
+    /// unit clauses are enqueued and propagated. `cnf` itself is only
+    /// read, so one compilation can load every cube worker of a query.
+    pub fn attach_shared(cnf: &SharedCnf) -> Solver {
         let mut s = Solver::new();
-        for _ in 0..shared.num_vars() {
+        for _ in 0..cnf.num_vars() {
             s.new_var();
         }
-        s.shared_watch = vec![[0, 1]; shared.num_clauses()];
-        for i in 0..shared.num_clauses() {
-            let cl = shared.clause(i);
-            debug_assert!(cl.len() >= 2, "arena clauses are never unit");
-            let cref = SHARED_BIT | i as u32;
-            s.watches[cl[0].code()].push(Watcher {
-                cref,
-                blocker: cl[1],
-            });
-            s.watches[cl[1].code()].push(Watcher {
-                cref,
-                blocker: cl[0],
-            });
+        s.attached_vars = cnf.num_vars();
+        s.attached_units = cnf.units().len();
+        let words = ClauseArena::words_for(cnf.num_clauses(), cnf.num_lits());
+        s.ca = ClauseArena::with_capacity(words);
+        s.local_clauses.reserve_exact(cnf.num_clauses());
+        for i in 0..cnf.num_clauses() {
+            s.attach_new_clause(cnf.clause(i), false);
         }
-        s.ok = shared.is_ok();
-        let units = shared.units().to_vec();
-        s.shared = Some(shared);
+        s.ok = cnf.is_ok();
         if s.ok {
-            for u in units {
+            for &u in cnf.units() {
                 match s.lit_value(u) {
                     LBool::True => {}
                     LBool::False => {
@@ -249,8 +239,9 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.level.len() as u32);
+        self.value.push(LBool::Undef);
+        self.value.push(LBool::Undef);
         self.polarity.push(false);
         self.activity.push(0.0);
         self.reason.push(None);
@@ -264,17 +255,14 @@ impl Solver {
 
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
-    /// Number of original (non-learnt, non-deleted) clauses, including the
-    /// shared arena's clauses and units when attached.
+    /// Number of original (non-learnt) clauses in the database, plus the
+    /// loaded compilation's unit clauses. Each loaded clause counts once,
+    /// until level-0 inprocessing purges it as satisfied.
     pub fn num_clauses(&self) -> usize {
-        let shared = self
-            .shared
-            .as_ref()
-            .map_or(0, |s| s.num_clauses() + s.units().len());
-        self.local_clauses.len() + shared
+        self.local_clauses.len() + self.attached_units
     }
 
     /// Search statistics accumulated so far.
@@ -295,12 +283,10 @@ impl Solver {
     }
 
     /// Gives `v` one initial VSIDS activity bump, so the first decisions
-    /// favor it over never-bumped variables. Callers attached to a large
-    /// shared formula use this to steer branching into the cone their query
-    /// actually constrains — on a formula compiled in shared layers, plain
-    /// variable-index order would branch into the (unconstrained) layers of
-    /// other queries first. A no-op once real conflict bumps have pushed
-    /// `v` past the seed value; idempotent before that.
+    /// favor it over never-bumped variables. Callers use this to steer
+    /// branching into the cone their query actually constrains instead of
+    /// plain variable-index order. A no-op once real conflict bumps have
+    /// pushed `v` past the seed value; idempotent before that.
     pub fn warm_var(&mut self, v: Var) {
         let i = v.index();
         if i < self.activity.len() && self.activity[i] < self.var_inc {
@@ -311,7 +297,7 @@ impl Solver {
 
     /// Enables roots-first branching through the two-level decision
     /// domain (default off). When on, each [`Solver::declare_roots`] call
-    /// rebuilds the local domain as the declared roots' cone, and every
+    /// rebuilds the local domain as the declared roots' variables, and every
     /// subsequent `solve_budgeted`/`solve_limited` branches on those
     /// variables first, falling back to the global VSIDS heap only once
     /// none is left unassigned. The restriction only reorders decisions,
@@ -401,7 +387,7 @@ impl Solver {
             }
             _ => {
                 let len = filtered.len() as u32;
-                let cref = self.attach_new_clause(filtered, import);
+                let cref = self.attach_new_clause(&filtered, import);
                 if import {
                     self.ca.set_imported(cref);
                     // The sender's LBD is an upper bound; level-0 stripping
@@ -601,7 +587,7 @@ impl Solver {
     /// if the last solve was unsatisfiable (or never happened, or the variable
     /// was created afterwards).
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.model.get(v.index()) {
+        match self.model.get(Lit::pos(v).code()) {
             Some(LBool::True) => Some(true),
             Some(LBool::False) => Some(false),
             _ => None,
@@ -619,43 +605,22 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        self.assigns[l.var().index()].under_sign(l.is_positive())
+        self.value[l.code()]
     }
 
     fn decision_level(&self) -> usize {
         self.trail_lim.len()
     }
 
-    /// Number of literals in the clause behind `cref` (shared or local).
+    /// `true` while `v` is unassigned.
     #[inline]
-    fn clause_len(&self, cref: u32) -> usize {
-        if cref & SHARED_BIT != 0 {
-            self.shared
-                .as_ref()
-                .expect("shared cref implies attached arena")
-                .clause((cref & !SHARED_BIT) as usize)
-                .len()
-        } else {
-            self.ca.len(cref)
-        }
+    fn var_undef(&self, v: usize) -> bool {
+        self.value[2 * v] == LBool::Undef
     }
 
-    /// Literal `j` of the clause behind `cref` (shared or local).
-    #[inline]
-    fn clause_lit(&self, cref: u32, j: usize) -> Lit {
-        if cref & SHARED_BIT != 0 {
-            self.shared
-                .as_ref()
-                .expect("shared cref implies attached arena")
-                .clause((cref & !SHARED_BIT) as usize)[j]
-        } else {
-            self.ca.lit(cref, j)
-        }
-    }
-
-    fn attach_new_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    fn attach_new_clause(&mut self, lits: &[Lit], learnt: bool) -> u32 {
         debug_assert!(lits.len() >= 2);
-        let cref = self.ca.alloc(&lits, learnt);
+        let cref = self.ca.alloc(lits, learnt);
         self.watches[lits[0].code()].push(Watcher {
             cref,
             blocker: lits[1],
@@ -695,42 +660,27 @@ impl Solver {
     /// Declares the roots a query is about to solve under. With
     /// roots-first branching enabled ([`Solver::set_domain_enabled`]) this
     /// rebuilds the local decision domain as exactly the declared roots'
-    /// cone, replacing whatever a previous declaration built; otherwise it
-    /// is a no-op. Sound at any point: the domain only reorders decisions.
+    /// variables, replacing whatever a previous declaration built;
+    /// otherwise it is a no-op. Sound at any point: the domain only
+    /// reorders decisions.
     pub fn declare_roots<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        if self.use_domain {
-            let roots: Vec<Lit> = lits.into_iter().collect();
-            self.rebuild_domain(&roots);
+        if !self.use_domain {
+            return;
         }
-    }
-
-    /// Rebuilds the local decision domain as the definitional cone of
-    /// `roots` (plus any solver-local root variables the arena does not
-    /// know). Membership is generation-stamped, so replacing the previous
-    /// query's domain is O(new cone), not O(vars).
-    fn rebuild_domain(&mut self, roots: &[Lit]) {
+        // Membership is generation-stamped, so replacing the previous
+        // query's domain is O(roots), not O(vars). Members are queued in
+        // reverse declaration order: among equal activities the heap
+        // decides the last-declared roots first.
+        let n = self.num_vars();
         self.domain.reset();
-        self.domain.reserve_keys(self.assigns.len());
-        let members: Vec<usize> = match &self.shared {
-            Some(sh) => {
-                let arena_vars = sh.num_vars();
-                let mut m: Vec<usize> = sh
-                    .cone_vars(roots.iter().map(|l| l.var()))
-                    .into_iter()
-                    .map(|v| v.index())
-                    .collect();
-                m.extend(
-                    roots
-                        .iter()
-                        .map(|l| l.var().index())
-                        .filter(|&v| v >= arena_vars),
-                );
-                m
-            }
-            None => roots.iter().map(|l| l.var().index()).collect(),
-        };
-        for v in members {
-            if v < self.assigns.len() && self.domain.add(v) && self.assigns[v] == LBool::Undef {
+        self.domain.reserve_keys(n);
+        let members: Vec<usize> = lits
+            .into_iter()
+            .map(|l| l.var().index())
+            .filter(|&v| v < n && self.domain.add(v))
+            .collect();
+        for v in members.into_iter().rev() {
+            if self.var_undef(v) {
                 self.domain.enqueue(v, &self.activity);
             }
         }
@@ -739,7 +689,8 @@ impl Solver {
     fn unchecked_enqueue(&mut self, l: Lit, reason: Option<u32>) {
         debug_assert_eq!(self.lit_value(l), LBool::Undef);
         let v = l.var().index();
-        self.assigns[v] = LBool::from_bool(l.is_positive());
+        self.value[l.code()] = LBool::True;
+        self.value[(!l).code()] = LBool::False;
         self.level[v] = self.decision_level() as u32;
         self.reason[v] = reason;
         self.trail.push(l);
@@ -747,7 +698,6 @@ impl Solver {
 
     /// Unit propagation. Returns the conflicting clause reference, if any.
     fn propagate(&mut self) -> Option<u32> {
-        let shared = self.shared.clone();
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -762,59 +712,6 @@ impl Solver {
                     i += 1;
                     continue;
                 }
-                if w.cref & SHARED_BIT != 0 {
-                    // Shared clause: the literals are immutable, so instead
-                    // of swapping watched literals to the front we track the
-                    // two watched positions in `shared_watch`.
-                    let idx = (w.cref & !SHARED_BIT) as usize;
-                    let cl = shared
-                        .as_ref()
-                        .expect("shared watcher implies attached arena")
-                        .clause(idx);
-                    let mut wp = self.shared_watch[idx];
-                    // Normalize so position 1 watches the false literal.
-                    if cl[wp[0] as usize] == false_lit {
-                        wp.swap(0, 1);
-                        self.shared_watch[idx] = wp;
-                    }
-                    debug_assert_eq!(cl[wp[1] as usize], false_lit);
-                    let first = cl[wp[0] as usize];
-                    if first != w.blocker && self.lit_value(first) == LBool::True {
-                        ws[i].blocker = first;
-                        i += 1;
-                        continue;
-                    }
-                    // Look for a replacement watch.
-                    let mut found = None;
-                    for (k, &q) in cl.iter().enumerate() {
-                        if k != wp[0] as usize
-                            && k != wp[1] as usize
-                            && self.lit_value(q) != LBool::False
-                        {
-                            found = Some(k);
-                            break;
-                        }
-                    }
-                    if let Some(k) = found {
-                        self.shared_watch[idx] = [wp[0], k as u32];
-                        self.watches[cl[k].code()].push(Watcher {
-                            cref: w.cref,
-                            blocker: first,
-                        });
-                        ws.swap_remove(i);
-                        continue;
-                    }
-                    // No replacement: clause is unit or conflicting.
-                    if self.lit_value(first) == LBool::False {
-                        self.qhead = self.trail.len();
-                        self.watches[false_lit.code()] = ws;
-                        return Some(w.cref);
-                    }
-                    self.unchecked_enqueue(first, Some(w.cref));
-                    i += 1;
-                    continue;
-                }
-                // Local clause: its literals live in the flat arena.
                 // Deletion detaches watchers eagerly, so every watcher
                 // reaching this point is live.
                 let cref = w.cref;
@@ -842,7 +739,7 @@ impl Solver {
                     let q = self.ca.lit(cref, k);
                     self.ca.swap_lits(cref, 1, k);
                     self.watches[q.code()].push(Watcher {
-                        cref: w.cref,
+                        cref,
                         blocker: first,
                     });
                     ws.swap_remove(i);
@@ -853,9 +750,9 @@ impl Solver {
                     // Conflict: restore the remaining watchers and bail.
                     self.qhead = self.trail.len();
                     self.watches[false_lit.code()] = ws;
-                    return Some(w.cref);
+                    return Some(cref);
                 }
-                self.unchecked_enqueue(first, Some(w.cref));
+                self.unchecked_enqueue(first, Some(cref));
                 i += 1;
             }
             self.watches[false_lit.code()] = ws;
@@ -872,7 +769,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var().index();
             self.polarity[v] = l.is_positive();
-            self.assigns[v] = LBool::Undef;
+            self.value[l.code()] = LBool::Undef;
+            self.value[(!l).code()] = LBool::Undef;
             self.reason[v] = None;
             self.heap.insert(v, &self.activity);
             // Domain members become decidable locally again (no-op for
@@ -945,7 +843,7 @@ impl Solver {
         let dl = self.decision_level() as u32;
 
         loop {
-            if confl & SHARED_BIT == 0 && self.ca.is_learnt(confl) {
+            if self.ca.is_learnt(confl) {
                 self.clause_bump(confl);
                 // MID-tier probation: a use between two reductions is what
                 // keeps a MID clause from demoting.
@@ -961,8 +859,8 @@ impl Solver {
                     }
                 }
             }
-            for j in 0..self.clause_len(confl) {
-                let q = self.clause_lit(confl, j);
+            for j in 0..self.ca.len(confl) {
+                let q = self.ca.lit(confl, j);
                 if p == Some(q) {
                     continue; // the literal this clause propagated
                 }
@@ -1002,8 +900,8 @@ impl Solver {
             let l = learnt[i];
             let keep = match self.reason[l.var().index()] {
                 None => true,
-                Some(r) => (0..self.clause_len(r)).any(|k| {
-                    let q = self.clause_lit(r, k);
+                Some(r) => (0..self.ca.len(r)).any(|k| {
+                    let q = self.ca.lit(r, k);
                     q != !l && !self.seen[q.var().index()] && self.level[q.var().index()] > 0
                 }),
             };
@@ -1057,14 +955,14 @@ impl Solver {
         // the `Undef` check when it surfaces.
         if self.domain_active {
             while let Some(v) = self.domain.pop(&self.activity) {
-                if self.assigns[v] == LBool::Undef {
+                if self.var_undef(v) {
                     self.stats.domain_decisions += 1;
                     return Some(Var(v as u32));
                 }
             }
         }
         while let Some(v) = self.heap.pop_max(&self.activity) {
-            if self.assigns[v] == LBool::Undef {
+            if self.var_undef(v) {
                 return Some(Var(v as u32));
             }
         }
@@ -1161,25 +1059,20 @@ impl Solver {
         }
     }
 
-    /// Compacts the local arena: copies every live clause into a fresh slab
-    /// and rewrites all crefs — watchers, reasons, and the clause index
-    /// lists — through the relocation forwarding pointers. Sound at any
-    /// decision level: only addresses change, never content. Shared crefs
-    /// (high bit set) are untouched.
+    /// Compacts the arena: copies every live clause into a fresh slab and
+    /// rewrites all crefs — watchers, reasons, and the clause index lists
+    /// — through the relocation forwarding pointers. Sound at any decision
+    /// level: only addresses change, never content.
     fn garbage_collect(&mut self) {
         let before = self.ca.data_len();
         let mut to = ClauseArena::with_capacity(before - self.ca.wasted());
         for ws in &mut self.watches {
             for w in ws.iter_mut() {
-                if w.cref & SHARED_BIT == 0 {
-                    w.cref = self.ca.reloc(w.cref, &mut to);
-                }
+                w.cref = self.ca.reloc(w.cref, &mut to);
             }
         }
         for cr in self.reason.iter_mut().flatten() {
-            if *cr & SHARED_BIT == 0 {
-                *cr = self.ca.reloc(*cr, &mut to);
-            }
+            *cr = self.ca.reloc(*cr, &mut to);
         }
         for c in self.local_clauses.iter_mut() {
             *c = self.ca.reloc(*c, &mut to);
@@ -1199,8 +1092,7 @@ impl Solver {
     }
 
     /// Level-0 inprocessing: purge satisfied clauses, strip false
-    /// literals, drop this solver's watchers on level-0-satisfied shared
-    /// clauses, run the queued subsumption pass, and compact the arena
+    /// literals, run the queued subsumption pass, and compact the arena
     /// when it got wasteful. The satisfied-purge leg runs at the classic
     /// `simpDB_assigns`/`simpDB_props` cadence — it can only find work
     /// after new level-0 facts arrived — while the subsumption leg is
@@ -1237,15 +1129,12 @@ impl Solver {
         }
         if cadence {
             self.simp_db_assigns = self.trail.len();
-            let shared_lits = self.shared.as_ref().map_or(0, |s| s.num_lits());
-            self.simp_db_props =
-                self.stats.propagations + (self.ca.live_lits() + shared_lits) as u64;
+            self.simp_db_props = self.stats.propagations + self.ca.live_lits() as u64;
         }
     }
 
-    /// Drops local clauses satisfied at level 0, strips literals false at
-    /// level 0 from the survivors, and removes this solver's watchers on
-    /// satisfied shared clauses. After a clean level-0 propagate a
+    /// Drops clauses satisfied at level 0 and strips literals false at
+    /// level 0 from the survivors. After a clean level-0 propagate a
     /// surviving clause's two watched literals are both unassigned (a false
     /// watch with a non-true partner would have propagated or conflicted),
     /// so false literals only sit at positions ≥ 2 and stripping never
@@ -1272,32 +1161,6 @@ impl Solver {
         }
         self.stats.simplify_removed += victims.len() as u64;
         self.remove_clauses(&victims);
-        if self.shared.is_none() {
-            return;
-        }
-        // Shared clauses are immutable and shared, but the watchers on them
-        // are private to this solver: dropping both ends a satisfied
-        // clause's participation in propagation for good (level-0
-        // assignments are permanent). Each active shared clause holds
-        // exactly two watchers, hence the halving.
-        let shared = self.shared.clone().expect("checked above");
-        let mut dropped = 0u64;
-        for code in 0..self.watches.len() {
-            let mut ws = std::mem::take(&mut self.watches[code]);
-            ws.retain(|w| {
-                if w.cref & SHARED_BIT == 0 {
-                    return true;
-                }
-                let cl = shared.clause((w.cref & !SHARED_BIT) as usize);
-                let sat = cl.iter().any(|&l| self.lit_value(l) == LBool::True);
-                if sat {
-                    dropped += 1;
-                }
-                !sat
-            });
-            self.watches[code] = ws;
-        }
-        self.stats.simplify_removed += dropped / 2;
     }
 
     /// Removes literals false at level 0 from `cref` (positions ≥ 2 only —
@@ -1339,7 +1202,7 @@ impl Solver {
         // batch. Entries go stale as the pass deletes and strengthens;
         // `is_deleted` and the literal re-check below make stale entries
         // harmless.
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.assigns.len()];
+        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); self.num_vars()];
         for &c in &queue {
             if self.ca.is_deleted(c) {
                 continue;
@@ -1349,7 +1212,7 @@ impl Solver {
             }
         }
         // Literal stamps for the O(|C| + |D|) subset test.
-        let mut stamp: Vec<u64> = vec![0; 2 * self.assigns.len()];
+        let mut stamp: Vec<u64> = vec![0; self.value.len()];
         let mut gen: u64 = 0;
         for &c in &queue {
             if !self.ok {
@@ -1507,12 +1370,12 @@ impl Solver {
 
     /// Exports the clauses learnt since the last exchange point.
     ///
-    /// When a shared arena is attached, clauses mentioning any solver-local
-    /// variable (one allocated after the arena's, e.g. a demand-translated
+    /// On a loaded solver, clauses mentioning any solver-local variable
+    /// (one allocated after the compilation's, e.g. a demand-translated
     /// Tseitin gate) are withheld: local indices are private to this
     /// solver and would alias unrelated variables at a peer.
     fn export_fresh(&mut self, exchange: &mut dyn ClauseExchange) {
-        let exportable = self.shared.as_ref().map_or(usize::MAX, |s| s.num_vars());
+        let exportable = self.attached_vars;
         for l in std::mem::take(&mut self.fresh_units) {
             if l.var().index() < exportable {
                 exchange.export(&[l], 1);
@@ -1565,9 +1428,11 @@ impl Solver {
                     // Conflict among the assumptions themselves.
                     return Some(SolveResult::Unsat);
                 }
+                // The backjump may land below the assumption levels (a
+                // learnt clause that no later assumption took part in);
+                // the decision step below re-establishes the assumptions
+                // one level at a time before branching resumes.
                 let (learnt, bt, lbd) = self.analyze(confl);
-                // Never backtrack past the assumption levels.
-                let bt = bt.max(self.trail_lim.len().min(assumptions.len()).min(bt));
                 self.cancel_until(bt);
                 let asserting = learnt[0];
                 if learnt.len() == 1 {
@@ -1592,7 +1457,7 @@ impl Solver {
                         }
                     }
                 } else {
-                    let cref = self.attach_new_clause(learnt, true);
+                    let cref = self.attach_new_clause(&learnt, true);
                     self.set_learnt_lbd(cref, lbd.max(1));
                     self.fresh_learnts.push(cref);
                     if self.subsume_queue.len() < SUBSUME_QUEUE_CAP {
@@ -1636,7 +1501,7 @@ impl Solver {
                 }
                 match self.pick_branch_var() {
                     None => {
-                        self.model = self.assigns.clone();
+                        self.model = self.value.clone();
                         return Some(SolveResult::Sat);
                     }
                     Some(v) => {
@@ -1953,7 +1818,7 @@ mod shared_tests {
         }
     }
 
-    fn exactly_one(n: usize) -> (std::sync::Arc<SharedCnf>, Vec<Var>) {
+    fn exactly_one(n: usize) -> (SharedCnf, Vec<Var>) {
         let mut b = CnfBuilder::new();
         let vs: Vec<Var> = (0..n).map(|_| b.new_var()).collect();
         b.add_clause(vs.iter().map(|&v| Lit::pos(v)));
@@ -1962,7 +1827,7 @@ mod shared_tests {
                 b.add_clause([Lit::neg(vs[i]), Lit::neg(vs[j])]);
             }
         }
-        (std::sync::Arc::new(b.build()), vs)
+        (b.build(), vs)
     }
 
     /// Enumerates all models over `vs` (blocking each found model), using
@@ -2020,7 +1885,7 @@ mod shared_tests {
             for c in &clauses {
                 b.add_clause(c.iter().map(|&(v, pos)| Lit::new(vs[v], pos)));
             }
-            let mut s = Solver::attach_shared(std::sync::Arc::new(b.build()));
+            let mut s = Solver::attach_shared(&b.build());
             let got = s.solve().is_sat();
             assert_eq!(got, brute_sat, "round {round}: clauses {clauses:?}");
             if got {
@@ -2037,11 +1902,11 @@ mod shared_tests {
     #[test]
     fn two_attached_solvers_enumerate_independently() {
         let (cnf, vs) = exactly_one(8);
-        let mut a = Solver::attach_shared(cnf.clone());
-        let mut bvr = Solver::attach_shared(cnf.clone());
+        let mut a = Solver::attach_shared(&cnf);
+        let mut bvr = Solver::attach_shared(&cnf);
         assert_eq!(a.num_clauses(), bvr.num_clauses());
         // Interleave the two enumerations: blocking clauses in one solver
-        // must not leak into the other through the shared arena.
+        // must not leak into the other through the compilation they share.
         let mut count_a = 0;
         let mut count_b = 0;
         loop {
@@ -2078,7 +1943,7 @@ mod shared_tests {
         // Cube A (v0 = true): enumerate, exporting learnt clauses and its
         // blocking clauses into the pool.
         let mut bus = BufferExchange::default();
-        let mut a = Solver::attach_shared(cnf.clone());
+        let mut a = Solver::attach_shared(&cnf);
         let mut a_models = Vec::new();
         while a.solve_exchanging(&[pin], &mut bus).is_sat() {
             let m: Vec<bool> = vs.iter().map(|&v| a.value(v).unwrap()).collect();
@@ -2093,9 +1958,9 @@ mod shared_tests {
         assert_eq!(a_models.len(), 1);
 
         // Cube B (v0 = false) with imports vs. a clean reference run.
-        let mut b = Solver::attach_shared(cnf.clone());
+        let mut b = Solver::attach_shared(&cnf);
         let with_import = enumerate(&mut b, &vs, &[!pin], &mut bus);
-        let mut b_ref = Solver::attach_shared(cnf);
+        let mut b_ref = Solver::attach_shared(&cnf);
         let without_import = enumerate(&mut b_ref, &vs, &[!pin], &mut NoExchange);
         assert_eq!(with_import.len(), 7);
         assert_eq!(with_import, without_import);
@@ -2118,13 +1983,13 @@ mod shared_tests {
                 }
             }
         }
-        let cnf = std::sync::Arc::new(bld.build());
+        let cnf = bld.build();
         let mut bus = BufferExchange::default();
-        let mut a = Solver::attach_shared(cnf.clone());
+        let mut a = Solver::attach_shared(&cnf);
         assert_eq!(a.solve_exchanging(&[], &mut bus), SolveResult::Unsat);
         assert!(!bus.pool.is_empty(), "UNSAT proof should learn clauses");
         // A second solver importing A's clauses must agree.
-        let mut b = Solver::attach_shared(cnf);
+        let mut b = Solver::attach_shared(&cnf);
         assert_eq!(b.solve_exchanging(&[], &mut bus), SolveResult::Unsat);
     }
 
@@ -2146,20 +2011,20 @@ mod shared_tests {
                 }
             }
         }
-        let cnf = std::sync::Arc::new(bld.build());
-        let mut s = Solver::attach_shared(cnf.clone());
+        let cnf = bld.build();
+        let mut s = Solver::attach_shared(&cnf);
         assert_eq!(s.solve_limited(&[], 3), None, "budget too small to finish");
         assert!(s.stats().conflicts >= 3);
         let warmed = p.iter().flatten().any(|&v| s.activity(v) > 0.0);
         assert!(warmed, "probing must leave VSIDS activity behind");
         // With an ample budget the limited solve is definitive.
-        let mut s2 = Solver::attach_shared(cnf);
+        let mut s2 = Solver::attach_shared(&cnf);
         assert_eq!(s2.solve_limited(&[], u64::MAX), Some(SolveResult::Unsat));
     }
 
     /// Pigeonhole 7→6: hard enough that an unbudgeted solve needs many
     /// restarts, so budget checks at restart boundaries actually fire.
-    fn hard_pigeonhole() -> std::sync::Arc<SharedCnf> {
+    fn hard_pigeonhole() -> SharedCnf {
         let mut bld = CnfBuilder::new();
         let n = 7;
         let m = 6;
@@ -2176,13 +2041,13 @@ mod shared_tests {
                 }
             }
         }
-        std::sync::Arc::new(bld.build())
+        bld.build()
     }
 
     #[test]
     fn conflict_budget_is_honored_exactly() {
         use crate::budget::{BudgetedResult, Interrupt, SolveBudget};
-        let mut s = Solver::attach_shared(hard_pigeonhole());
+        let mut s = Solver::attach_shared(&hard_pigeonhole());
         let r = s.solve_budgeted(&[], &mut NoExchange, &SolveBudget::conflicts(50));
         assert_eq!(r, BudgetedResult::Interrupted(Interrupt::Conflicts));
         // The conflict limit clamps each restart's budget, so it is exact.
@@ -2195,7 +2060,7 @@ mod shared_tests {
     #[test]
     fn deadline_stops_within_one_restart() {
         use crate::budget::{BudgetedResult, Interrupt, SolveBudget};
-        let mut s = Solver::attach_shared(hard_pigeonhole());
+        let mut s = Solver::attach_shared(&hard_pigeonhole());
         let budget = SolveBudget {
             deadline: Some(std::time::Instant::now()),
             ..SolveBudget::default()
@@ -2212,7 +2077,7 @@ mod shared_tests {
         use crate::budget::{BudgetedResult, CancelToken, Interrupt, SolveBudget};
         let token = CancelToken::new();
         token.cancel();
-        let mut s = Solver::attach_shared(hard_pigeonhole());
+        let mut s = Solver::attach_shared(&hard_pigeonhole());
         let budget = SolveBudget {
             cancel: Some(token),
             ..SolveBudget::default()
@@ -2224,7 +2089,7 @@ mod shared_tests {
     #[test]
     fn propagation_budget_interrupts() {
         use crate::budget::{BudgetedResult, Interrupt, SolveBudget};
-        let mut s = Solver::attach_shared(hard_pigeonhole());
+        let mut s = Solver::attach_shared(&hard_pigeonhole());
         let budget = SolveBudget {
             max_propagations: 1,
             ..SolveBudget::default()
@@ -2249,7 +2114,7 @@ mod shared_tests {
             fault: Some(ctx),
             ..SolveBudget::default()
         };
-        let mut s = Solver::attach_shared(cnf.clone());
+        let mut s = Solver::attach_shared(&cnf);
         let r = s.solve_budgeted(&[], &mut NoExchange, &budget);
         assert_eq!(r, BudgetedResult::Interrupted(Interrupt::Injected));
         // The site armed restart 1, so exactly one restart ran first.
@@ -2269,7 +2134,7 @@ mod shared_tests {
             ..SolveBudget::default()
         };
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut s = Solver::attach_shared(cnf);
+            let mut s = Solver::attach_shared(&cnf);
             s.solve_budgeted(&[], &mut NoExchange, &panic_budget)
         }));
         assert!(caught.is_err(), "armed panic site must panic");
@@ -2284,7 +2149,7 @@ mod shared_tests {
         b.add_clause([Lit::pos(x)]);
         b.add_clause([Lit::neg(x), Lit::pos(y)]);
         b.add_clause([Lit::neg(y), Lit::pos(z)]);
-        let mut s = Solver::attach_shared(std::sync::Arc::new(b.build()));
+        let mut s = Solver::attach_shared(&b.build());
         assert!(s.solve().is_sat());
         assert_eq!(s.value(x), Some(true));
         assert_eq!(s.value(y), Some(true));
@@ -2297,14 +2162,14 @@ mod shared_tests {
         let x = b.new_var();
         b.add_clause([Lit::pos(x)]);
         b.add_clause([Lit::neg(x)]);
-        let mut s = Solver::attach_shared(std::sync::Arc::new(b.build()));
+        let mut s = Solver::attach_shared(&b.build());
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]
     fn local_vars_and_clauses_extend_an_attached_solver() {
         let (cnf, vs) = exactly_one(4);
-        let mut s = Solver::attach_shared(cnf);
+        let mut s = Solver::attach_shared(&cnf);
         // A local variable defined on top of shared ones: w ↔ v0 ∨ v1.
         let w = s.new_var();
         s.add_clause([Lit::neg(vs[0]), Lit::pos(w)]);
@@ -2336,7 +2201,7 @@ mod shared_tests {
         let y = b.new_var();
         b.add_clause([Lit::pos(x)]);
         b.add_clause([Lit::neg(x), Lit::pos(y)]);
-        let mut s = Solver::attach_shared(std::sync::Arc::new(b.build()));
+        let mut s = Solver::attach_shared(&b.build());
         assert!(s.solve().is_sat());
         assert_eq!(s.value(x), Some(true));
         assert_eq!(s.value(y), Some(true));
@@ -2345,37 +2210,83 @@ mod shared_tests {
         let z = b.new_var();
         b.add_clause([Lit::pos(z)]);
         b.add_clause([]);
-        let cnf = std::sync::Arc::new(b.build());
+        let cnf = b.build();
         assert!(!cnf.is_ok());
-        let mut s = Solver::attach_shared(cnf);
+        let mut s = Solver::attach_shared(&cnf);
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert!(!s.add_clause([Lit::pos(z)]), "an unsat attach stays unsat");
     }
 
     #[test]
-    fn fresh_attach_resets_shared_watch_positions() {
-        // Solver A enumerates against the arena (moving
-        // its private watch positions), then a fresh solver attaches to
-        // the same arena — its `shared_watch` must start at [0, 1] for
-        // every clause, unaffected by A's searches.
+    fn loaded_solvers_leave_the_compilation_untouched() {
+        // Each solver copies the compiled clauses into its own arena and
+        // reorders them there while watching; the compilation itself
+        // must come out of two full enumerations exactly as it went in.
         let (cnf, vs) = exactly_one(6);
-        let mut a = Solver::attach_shared(cnf.clone());
+        let snapshot = |cnf: &SharedCnf| {
+            let clauses: Vec<Vec<Lit>> = (0..cnf.num_clauses())
+                .map(|i| cnf.clause(i).to_vec())
+                .collect();
+            (clauses, cnf.units().to_vec(), cnf.fingerprint())
+        };
+        let before = snapshot(&cnf);
+        let mut a = Solver::attach_shared(&cnf);
+        let mut b = Solver::attach_shared(&cnf);
         assert_eq!(enumerate(&mut a, &vs, &[], &mut NoExchange).len(), 6);
-        assert!(
-            a.shared_watch.iter().any(|&wp| wp != [0, 1]),
-            "enumeration should have moved at least one watch position"
-        );
-        let mut fresh = Solver::attach_shared(cnf.clone());
-        assert_eq!(fresh.shared_watch, vec![[0, 1]; cnf.num_clauses()]);
-        assert_eq!(enumerate(&mut fresh, &vs, &[], &mut NoExchange).len(), 6);
+        assert_eq!(enumerate(&mut b, &vs, &[], &mut NoExchange).len(), 6);
+        assert_eq!(snapshot(&cnf), before);
+    }
+
+    #[test]
+    fn num_clauses_counts_loaded_clauses_and_units_once() {
+        let mut b = CnfBuilder::new();
+        let x = b.new_var();
+        let y = b.new_var();
+        let z = b.new_var();
+        b.add_clause([Lit::pos(x)]);
+        b.add_clause([Lit::pos(y), Lit::pos(z)]);
+        b.add_clause([Lit::neg(y), Lit::neg(z)]);
+        let cnf = b.build();
+        let mut s = Solver::attach_shared(&cnf);
+        assert_eq!(s.num_clauses(), cnf.num_clauses() + cnf.units().len());
+        assert_eq!(s.num_clauses(), 3);
+        // Clauses added after loading count once more each.
+        s.add_clause([Lit::neg(x), Lit::pos(y), Lit::pos(z)]);
+        assert_eq!(s.num_clauses(), 4);
+    }
+
+    #[test]
+    fn backjump_below_the_assumptions_keeps_every_assumption() {
+        // Under a1 (level 1) and a2 (level 2), deciding ¬x at level 3
+        // propagates y and ¬y from the two clauses below. The learnt
+        // clause (¬a1 ∨ x) leaves a2 out, so the backjump lands at level 1,
+        // below the assumption levels; a2 must be re-established before
+        // the model is reported.
+        let mut s = Solver::new();
+        let a1 = s.new_var();
+        let a2 = s.new_var();
+        let x = s.new_var();
+        let y = s.new_var();
+        s.add_clause([Lit::neg(a1), Lit::pos(x), Lit::pos(y)]);
+        s.add_clause([Lit::neg(a1), Lit::pos(x), Lit::neg(y)]);
+        // Decide x first (its saved phase is false).
+        s.warm_var(x);
+        let assumptions = [Lit::pos(a1), Lit::pos(a2)];
+        assert!(s.solve_with_assumptions(&assumptions).is_sat());
+        assert_eq!(s.stats().conflicts, 1);
+        let learnt: Vec<Vec<Lit>> = s.learnt_refs.iter().map(|&c| s.ca.copy_lits(c)).collect();
+        assert_eq!(learnt, vec![vec![Lit::pos(x), Lit::neg(a1)]]);
+        for l in assumptions {
+            assert_eq!(s.lit_model_value(l), Some(true), "{l} must hold");
+        }
+        assert_eq!(s.value(x), Some(true));
     }
 
     // ----- roots-first branching -----
 
-    /// A three-layer chain: an exactly-one(4) skeleton, then two
-    /// definitional cones — `g0 := v0 ∨ v2` and `g1 := g0 ∨ v3` (pure
-    /// Tseitin namings; every clause mentions its layer's own gate).
-    fn layered_chain() -> (std::sync::Arc<SharedCnf>, Vec<Var>, Var, Var) {
+    /// An exactly-one(4) formula plus two Tseitin gates, `g0 := v0 ∨ v2`
+    /// and `g1 := g0 ∨ v3`.
+    fn gated_exactly_one() -> (SharedCnf, Vec<Var>, Var) {
         let mut b = CnfBuilder::new();
         let vs: Vec<Var> = (0..4).map(|_| b.new_var()).collect();
         b.add_clause(vs.iter().map(|&v| Lit::pos(v)));
@@ -2384,29 +2295,30 @@ mod shared_tests {
                 b.add_clause([Lit::neg(vs[i]), Lit::neg(vs[j])]);
             }
         }
-        let base = b.build_tagged(true);
-        let mut e1 = CnfBuilder::extending(&base);
-        let g0 = e1.new_var();
-        e1.add_clause([Lit::neg(g0), Lit::pos(vs[0]), Lit::pos(vs[2])]);
-        e1.add_clause([Lit::pos(g0), Lit::neg(vs[0])]);
-        e1.add_clause([Lit::pos(g0), Lit::neg(vs[2])]);
-        let l1 = e1.build_layer(true, true);
-        let mut e2 = CnfBuilder::extending(&l1);
-        let g1 = e2.new_var();
-        e2.add_clause([Lit::neg(g1), Lit::pos(g0), Lit::pos(vs[3])]);
-        e2.add_clause([Lit::pos(g1), Lit::neg(g0)]);
-        e2.add_clause([Lit::pos(g1), Lit::neg(vs[3])]);
-        (std::sync::Arc::new(e2.build_layer(true, true)), vs, g0, g1)
+        let g0 = b.new_var();
+        b.add_clause([Lit::neg(g0), Lit::pos(vs[0]), Lit::pos(vs[2])]);
+        b.add_clause([Lit::pos(g0), Lit::neg(vs[0])]);
+        b.add_clause([Lit::pos(g0), Lit::neg(vs[2])]);
+        let g1 = b.new_var();
+        b.add_clause([Lit::neg(g1), Lit::pos(g0), Lit::pos(vs[3])]);
+        b.add_clause([Lit::pos(g1), Lit::neg(g0)]);
+        b.add_clause([Lit::pos(g1), Lit::neg(vs[3])]);
+        (b.build(), vs, g0)
+    }
+
+    /// The cone of `g0`, declared explicitly: the gate and its inputs.
+    fn g0_cone(vs: &[Var], g0: Var) -> [Lit; 3] {
+        [Lit::pos(g0), Lit::pos(vs[0]), Lit::pos(vs[2])]
     }
 
     #[test]
     fn decision_domain_branches_on_declared_cone_first() {
-        let (cnf, vs, g0, _g1) = layered_chain();
-        let mut eager = Solver::attach_shared(cnf.clone());
+        let (cnf, vs, g0) = gated_exactly_one();
+        let mut eager = Solver::attach_shared(&cnf);
         let me = enumerate(&mut eager, &vs, &[Lit::pos(g0)], &mut NoExchange);
-        let mut s = Solver::attach_shared(cnf.clone());
+        let mut s = Solver::attach_shared(&cnf);
         s.set_domain_enabled(true);
-        s.declare_roots([Lit::pos(g0)]);
+        s.declare_roots(g0_cone(&vs, g0));
         let md = enumerate(&mut s, &vs, &[Lit::pos(g0)], &mut NoExchange);
         assert_eq!(me, md, "the domain only reorders decisions");
         let st = s.stats();
@@ -2416,22 +2328,22 @@ mod shared_tests {
         );
         assert!(st.domain_decisions <= st.decisions);
         // Default-off: a solver that never enables the domain reports 0.
-        let mut plain = Solver::attach_shared(cnf);
+        let mut plain = Solver::attach_shared(&cnf);
         let _ = enumerate(&mut plain, &vs, &[Lit::pos(g0)], &mut NoExchange);
         assert_eq!(plain.stats().domain_decisions, 0);
     }
 
     #[test]
     fn decision_domain_falls_back_to_global_heap_when_cone_exhausted() {
-        // Cone of g0 is {g0, v0, v2}; a full model still needs v1 and v3,
-        // which only the global fallback can decide once the cone is
-        // assigned. Deciding g0 false propagates ¬v0 and ¬v2, leaving
+        // The declared cone is {g0, v0, v2}; a full model still needs v1
+        // and v3, which only the global fallback can decide once the cone
+        // is assigned. Deciding g0 false propagates ¬v0 and ¬v2, leaving
         // v1 ∨ v3 undetermined — so the SAT answer requires at least one
         // global (non-domain) decision.
-        let (cnf, _vs, g0, _g1) = layered_chain();
-        let mut s = Solver::attach_shared(cnf);
+        let (cnf, vs, g0) = gated_exactly_one();
+        let mut s = Solver::attach_shared(&cnf);
         s.set_domain_enabled(true);
-        s.declare_roots([Lit::pos(g0)]);
+        s.declare_roots(g0_cone(&vs, g0));
         assert!(s.solve().is_sat());
         let st = s.stats();
         assert!(st.domain_decisions > 0, "local level used first");
@@ -2504,7 +2416,7 @@ mod shared_tests {
         // must keep the live learnt count near the LOCAL budget instead of
         // growing without bound, and the tier counters must stay
         // consistent.
-        let mut s = Solver::attach_shared(hard_pigeonhole());
+        let mut s = Solver::attach_shared(&hard_pigeonhole());
         s.set_learnt_budget(20);
         assert_eq!(s.solve(), SolveResult::Unsat);
         let st = s.stats();
@@ -2524,7 +2436,7 @@ mod shared_tests {
 
     #[test]
     fn arena_gc_fires_under_churn_and_preserves_results() {
-        let mut s = Solver::attach_shared(hard_pigeonhole());
+        let mut s = Solver::attach_shared(&hard_pigeonhole());
         s.set_learnt_budget(10);
         assert_eq!(s.solve(), SolveResult::Unsat);
         let st = s.stats();
@@ -2541,7 +2453,7 @@ mod shared_tests {
         let mut reference: Option<Vec<Vec<bool>>> = None;
         for inproc in [false, true] {
             for tiers in [false, true] {
-                let mut s = Solver::attach_shared(cnf.clone());
+                let mut s = Solver::attach_shared(&cnf);
                 s.set_inprocessing(inproc);
                 s.set_tiered_retention(tiers);
                 s.set_learnt_budget(4);
