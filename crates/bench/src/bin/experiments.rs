@@ -54,15 +54,17 @@
 //!   `tso/sc_per_loc/4@0@0@2@panic`. Injected faults exercise the
 //!   retry/degrade ladder; `experiments speedup` reports the counters.
 //!
-//! `experiments speedup` runs the TSO bound sweep three ways — the
-//! library defaults, the `legacy-db` SAT-core ablation, and the
-//! multi-threaded cube portfolio — three times each, printing each
-//! phase's median wall time with min/max. It asserts all suites are
-//! byte-identical and audits the perf invariants: exactly one circuit→CNF
-//! compilation per query, inprocessing doing visible work, no regression
-//! of the modern-vs-legacy-db propagation reduction past a value committed
-//! in `BENCH_baseline.json` (none is committed today), and — on a
-//! fault-free run — zero degraded workers. Results are also written to
+//! `experiments speedup` runs the TSO bound sweep four ways — one thread
+//! (`sequential`), the `legacy-db` SAT-core ablation, the library
+//! `default` (every core, top bound first), and the multi-threaded cube
+//! portfolio — three times each, printing each phase's median wall time
+//! with min/max. It asserts all suites are byte-identical, that the
+//! default does the sequential phase's solver work, and audits the perf
+//! invariants: exactly one circuit→CNF compilation per query,
+//! inprocessing doing visible work, no regression of the
+//! modern-vs-legacy-db propagation reduction past a value committed in
+//! `BENCH_baseline.json` (none is committed today), and — on a fault-free
+//! run — zero degraded workers. Results are also written to
 //! `BENCH_synth.json` for machine consumption (CI's perf-smoke).
 
 use litsynth_bench::baselines::DiyBaseline;
@@ -257,23 +259,26 @@ fn json_f64(text: &str, key: &str) -> Option<f64> {
 }
 
 /// The perf acceptance experiment: the TSO union over bounds `2..=bound`,
-/// three ways —
+/// four ways —
 ///
-/// 1. **default** — the library defaults on one thread: every (axiom,
+/// 1. **sequential** — the library defaults on one thread: every (axiom,
 ///    bound) query compiled once and solved on fresh solvers;
 /// 2. **legacy-db** — the same with the modernized SAT core ablated:
 ///    level-0 inprocessing off and single-activity learnt retention
 ///    instead of LBD tiers;
-/// 3. **portfolio** — the defaults at `threads` threads with cube
+/// 3. **default** — `SynthConfig::new` unchanged: the same queries on
+///    every core, the top bound claimed first;
+/// 4. **portfolio** — the defaults at `threads` threads with cube
 ///    splitting.
 ///
 /// Each phase runs three times; its wall time is reported as the median
-/// with min/max. All suites must be byte-identical and every phase must
-/// compile exactly once per query. The modern-vs-legacy-db propagation
-/// reduction is reported at every bound and gated only where
-/// `BENCH_baseline.json` commits a value for the bound: its sign has
-/// flipped with search order (DESIGN.md §3c). Results also go to `BENCH_synth.json`
-/// (written atomically).
+/// with min/max. All suites must be byte-identical, every phase must
+/// compile exactly once per query, and the default phase must do exactly
+/// the sequential phase's solver work (same propagations and decisions).
+/// The modern-vs-legacy-db propagation reduction is reported at every
+/// bound and gated only where `BENCH_baseline.json` commits a value for
+/// the bound: its sign has flipped with search order (DESIGN.md §3c).
+/// Results also go to `BENCH_synth.json` (written atomically).
 fn speedup(bound: usize, threads: usize) {
     const RUNS: usize = 3;
     let threads = resolve_threads(threads);
@@ -281,7 +286,7 @@ fn speedup(bound: usize, threads: usize) {
     println!("\n## Sweep phases — TSO union, bounds 2..={bound}, {threads} threads\n");
     let tso = Tso::new();
 
-    let run = |name, modern: bool, threads: usize, cube_bits: usize| {
+    let run = |name, configure: &dyn Fn(&mut SynthConfig)| {
         let mut walls = Vec::with_capacity(RUNS);
         let mut first: Option<(litsynth_core::CanonicalSuite, litsynth_core::SweepStats)> = None;
         for _ in 0..RUNS {
@@ -289,11 +294,8 @@ fn speedup(bound: usize, threads: usize) {
             let (union, stats) =
                 litsynth_core::synthesize_union_up_to_with_stats(&tso, 2..=bound, |n| {
                     let mut c = SynthConfig::new(n);
-                    c.threads = threads;
-                    c.cube_bits = cube_bits;
-                    c.inprocess = modern;
-                    c.tiered = modern;
                     c.journal = litsynth_core::env_journal();
+                    configure(&mut c);
                     c
                 });
             walls.push(t0.elapsed());
@@ -315,26 +317,34 @@ fn speedup(bound: usize, threads: usize) {
             walls,
         }
     };
-    let default = run("default", true, 1, 0);
-    let legacy_db = run("legacy-db", false, 1, 0);
-    let portfolio = run("portfolio", true, threads, cube_bits);
-    let phases = [&default, &legacy_db, &portfolio];
+    let sequential = run("sequential", &|c| c.threads = 1);
+    let legacy_db = run("legacy-db", &|c| {
+        c.threads = 1;
+        c.inprocess = false;
+        c.tiered = false;
+    });
+    let default = run("default", &|_| {});
+    let portfolio = run("portfolio", &|c| {
+        c.threads = threads;
+        c.cube_bits = cube_bits;
+    });
+    let phases = [&sequential, &legacy_db, &default, &portfolio];
 
     // Byte-identical output is the precondition for comparing the phases
     // at all — the SAT core and the portfolio must only change speed.
-    let digest = suite_digest(&default.union);
+    let digest = suite_digest(&sequential.union);
     for p in &phases[1..] {
         assert_eq!(
             suite_digest(&p.union),
             digest,
-            "{} suite diverged from default",
+            "{} suite diverged from sequential",
             p.name
         );
     }
     // Every query compiles exactly once, however many cube workers attach
     // (journal replays compile nothing).
     let num_queries = (bound - 1) * tso.axioms().len();
-    let deterministic = default.stats.raw_instances > 0 && legacy_db.stats.raw_instances > 0;
+    let deterministic = sequential.stats.raw_instances > 0 && legacy_db.stats.raw_instances > 0;
     if deterministic {
         for p in &phases {
             assert_eq!(
@@ -344,10 +354,21 @@ fn speedup(bound: usize, threads: usize) {
             );
         }
     }
+    // The default runs the sequential phase's queries on more workers and
+    // in another claim order, never another search (no cubes, so no
+    // exchange; fault sites are keyed by query, cube and attempt, so they
+    // fire alike in both phases).
+    if deterministic {
+        assert_eq!(
+            (default.stats.propagations, default.stats.decisions),
+            (sequential.stats.propagations, sequential.stats.decisions),
+            "default: solver work differs from the sequential phase"
+        );
+    }
 
     println!(
         "suite: {} tests (byte-identical in all phases)",
-        default.union.len()
+        sequential.union.len()
     );
     for p in &phases {
         println!(
@@ -368,29 +389,29 @@ fn speedup(bound: usize, threads: usize) {
     // search order (DESIGN.md §3c), so the reduction is reported, not
     // asserted.
     let modern_db_reduction =
-        1.0 - default.stats.propagations as f64 / legacy_db.stats.propagations.max(1) as f64;
+        1.0 - sequential.stats.propagations as f64 / legacy_db.stats.propagations.max(1) as f64;
     println!(
         "sat-core: {:.1}% propagation reduction vs legacy-db \
          ({} vs {} props, {} vs {} decisions; \
          {} simplify_removed, {} subsumed, {} strengthened, {} gc runs / {} words)",
         modern_db_reduction * 100.0,
-        default.stats.propagations,
+        sequential.stats.propagations,
         legacy_db.stats.propagations,
-        default.stats.decisions,
+        sequential.stats.decisions,
         legacy_db.stats.decisions,
-        default.stats.simplify_removed,
-        default.stats.subsumed,
-        default.stats.strengthened,
-        default.stats.gc_runs,
-        default.stats.gc_reclaimed_words,
+        sequential.stats.simplify_removed,
+        sequential.stats.subsumed,
+        sequential.stats.strengthened,
+        sequential.stats.gc_runs,
+        sequential.stats.gc_reclaimed_words,
     );
     if deterministic && (3..=5).contains(&bound) {
         assert!(
-            default.stats.subsumed + default.stats.strengthened > 0,
+            sequential.stats.subsumed + sequential.stats.strengthened > 0,
             "inprocessing must do visible work at bound {bound} \
              (subsumed {}, strengthened {})",
-            default.stats.subsumed,
-            default.stats.strengthened
+            sequential.stats.subsumed,
+            sequential.stats.strengthened
         );
     }
     // Regression gate against the committed baseline: `BENCH_baseline.json`
@@ -415,12 +436,13 @@ fn speedup(bound: usize, threads: usize) {
             }
         }
     }
-    let ratio = |p: &Phase| default.median().as_secs_f64() / p.median().as_secs_f64().max(1e-9);
+    let ratio = |p: &Phase| sequential.median().as_secs_f64() / p.median().as_secs_f64().max(1e-9);
+    let default_threads = resolve_threads(SynthConfig::new(bound).threads);
     println!(
-        "speedup: legacy-db {:.2}x, portfolio ({} threads, {} cubes/query) {:.2}x \
-         over the default phase (medians)",
+        "speedup: legacy-db {:.2}x, default ({default_threads} threads) {:.2}x, \
+         portfolio ({threads} threads, {} cubes/query) {:.2}x over the sequential phase (medians)",
         ratio(&legacy_db),
-        threads,
+        ratio(&default),
         1usize << cube_bits,
         ratio(&portfolio),
     );
@@ -448,18 +470,22 @@ fn speedup(bound: usize, threads: usize) {
     let json = format!(
         "{{\n  \"experiment\": \"speedup\",\n  \"model\": \"tso\",\n  \
          \"bounds\": [2, {bound}],\n  \"threads\": {threads},\n  \
+         \"default_threads\": {default_threads},\n  \
          \"cube_bits\": {cube_bits},\n  \"suite_tests\": {},\n  \
-         \"byte_identical\": true,\n  \"phases\": {{\n    \"default\": {},\n    \
-         \"legacy-db\": {},\n    \"portfolio\": {}\n  }},\n  \
-         \"speedup_legacy_db\": {:.4},\n  \"speedup_portfolio\": {:.4},\n  \
+         \"byte_identical\": true,\n  \"phases\": {{\n    \"sequential\": {},\n    \
+         \"legacy-db\": {},\n    \"default\": {},\n    \"portfolio\": {}\n  }},\n  \
+         \"speedup_legacy_db\": {:.4},\n  \"speedup_default\": {:.4},\n  \
+         \"speedup_portfolio\": {:.4},\n  \
          \"modern_db_reduction\": {:.4},\n  \
          \"resilience\": {{\"retries\": {retries}, \"degraded\": {degraded}, \
          \"injected_faults\": {injections}}}\n}}\n",
-        default.union.len(),
-        phase_json(&default),
+        sequential.union.len(),
+        phase_json(&sequential),
         phase_json(&legacy_db),
+        phase_json(&default),
         phase_json(&portfolio),
         ratio(&legacy_db),
+        ratio(&default),
         ratio(&portfolio),
         modern_db_reduction,
     );

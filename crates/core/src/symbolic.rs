@@ -89,9 +89,14 @@ pub struct SynthConfig {
     /// Wall-clock budget for one enumeration worker, in milliseconds
     /// (0 = unlimited).
     pub time_budget_ms: u64,
-    /// Worker threads for the parallel synthesis engine: `1` runs fully
-    /// sequentially (byte-identical results either way), `0` uses all
-    /// available cores.
+    /// Worker threads for the parallel synthesis engine. The default, `0`,
+    /// uses all available cores; `1` runs fully sequentially. Suites are
+    /// byte-identical at any count, and with `cube_bits` 0 so are the
+    /// solver counters: each (bound, axiom) query runs the same search on
+    /// whichever worker claims it. A sweep's workers claim its queries
+    /// heaviest first, from the highest bound down (the pool's claim
+    /// order, `litsynth_portfolio::run_ordered`). Code that already runs
+    /// inside an outer pool should set this explicitly.
     pub threads: usize,
     /// Split each (axiom, bound) query into `2^cube_bits` disjoint
     /// subqueries by pinning `cube_bits` instruction-kind selector bits as
@@ -182,7 +187,7 @@ impl SynthConfig {
             orphan_unconstrained: true,
             max_instances: 1_000_000,
             time_budget_ms: 0,
-            threads: 1,
+            threads: 0,
             cube_bits: 0,
             exchange: true,
             exchange_max_lbd: 6,

@@ -5,8 +5,9 @@
 //!
 //! Every (axiom, bound) query is an independent SAT enumeration, so the
 //! drivers fan queries out across a scoped-thread worker pool
-//! ([`SynthConfig::threads`]). On top of that, one query can be
-//! *cube-split* ([`SynthConfig::cube_bits`]): `b` instruction-kind
+//! ([`SynthConfig::threads`], all cores by default) that claims the
+//! heaviest queries, the highest bound's, first. On top of that, one
+//! query can be *cube-split* ([`SynthConfig::cube_bits`]): `b` instruction-kind
 //! selector bits are pinned to each of the `2^b` boolean patterns as extra
 //! assumptions, partitioning the observable space into disjoint subqueries
 //! that enumerate concurrently and merge through the canonical-key dedup.
@@ -56,7 +57,8 @@ use crate::symbolic::{vocabulary, SymbolicTest, SynthConfig};
 use litsynth_litmus::{canonical_key_hash, serialize, LitmusTest, Outcome, TwoTierCanon};
 use litsynth_models::{MemoryModel, SymAlg};
 use litsynth_portfolio::{
-    run_resilient, Attempt, CompiledQuery, CubeConfig, ExchangeBus, ExchangeConfig, RetryConfig,
+    resolve_threads, run_resilient, Attempt, CompiledQuery, CubeConfig, ExchangeBus,
+    ExchangeConfig, RetryConfig,
 };
 use litsynth_relalg::Bit;
 use litsynth_sat::{FaultCtx, Interrupt, SolveBudget};
@@ -1008,16 +1010,30 @@ pub fn synthesize_union_up_to_with_stats<M: MemoryModel + Sync>(
 /// The per-axiom results of one bound of a sweep.
 type BoundResults = BTreeMap<&'static str, SynthResult>;
 
+/// The worker count of a sweep's pool: the largest of its bounds'
+/// `threads`, each resolved first, so `0` (all cores) counts as the core
+/// count rather than as the smallest setting.
+fn sweep_threads(cfgs: &[SynthConfig]) -> usize {
+    cfgs.iter()
+        .map(|c| resolve_threads(c.threads))
+        .max()
+        .unwrap_or(1)
+}
+
 /// Runs one config per bound as a single pool of (bound, axiom, cube)
 /// tasks and merges the results in bound order, each bound in axiom
 /// order — the same shape as the sequential loop, so the result is
 /// byte-identical to it. Returns the union, its stats and the per-axiom
 /// results of every bound.
+///
+/// Tasks are planned bounds ascending; the pool claims them last first, so
+/// with more than one worker the top bound's queries, which dominate a
+/// sweep's time, start immediately.
 fn sweep<M: MemoryModel + Sync>(
     model: &M,
     cfgs: Vec<SynthConfig>,
 ) -> (CanonicalSuite, SweepStats, Vec<BoundResults>) {
-    let threads = cfgs.iter().map(|c| c.threads).max().unwrap_or(1);
+    let threads = sweep_threads(&cfgs);
     // The journal is consulted once per bound, up front — entries recorded
     // while the pool runs must not change which tasks this call planned.
     let mut plans = Vec::new();
@@ -1440,7 +1456,12 @@ mod tests {
         for ax_asserts in asserts {
             let base = full.as_ref().unwrap_or(&skel);
             let ax_roots = ax_asserts.iter().copied();
-            full = Some(CompiledCircuit::extend_definitional(base, &alg.circuit, ax_roots, true));
+            full = Some(CompiledCircuit::extend_definitional(
+                base,
+                &alg.circuit,
+                ax_roots,
+                true,
+            ));
         }
         let full = full.expect("every model has an axiom");
         (skel, full)
@@ -1772,10 +1793,55 @@ mod tests {
     }
 
     #[test]
+    fn default_sweep_matches_sequential_sweep() {
+        // The library default runs a sweep on every core, claiming the
+        // top bound first. With cube_bits 0 each query's search is the
+        // same on whichever worker runs it, so the suite bytes and the
+        // solver work equal the one-thread sweep's.
+        fn check<M: MemoryModel + Sync>(m: &M, hi: usize) {
+            let (default, d) = synthesize_union_up_to_with_stats(m, 2..=hi, SynthConfig::new);
+            let (sequential, s) = synthesize_union_up_to_with_stats(m, 2..=hi, |n| {
+                SynthConfig::new(n).with_threads(1)
+            });
+            let at = format!("{} 2..={hi}", m.name());
+            assert_eq!(suite_bytes(&default), suite_bytes(&sequential), "{at}");
+            assert_eq!(d.propagations, s.propagations, "{at} propagations");
+            assert_eq!(d.decisions, s.decisions, "{at} decisions");
+            assert!(s.propagations > 0, "{at}");
+        }
+        check(&Sc::new(), 3);
+        check(&Tso::new(), 3);
+        check(&Power::new(), 3);
+        check(&Power::armv7(), 3);
+        check(&Scc::new(), 3);
+        check(&C11::new(), 3);
+        check(&Tso::new(), 4);
+    }
+
+    #[test]
+    fn sweep_threads_resolve_all_cores_before_taking_the_max() {
+        // `0` means all cores, so a sweep mixing it with an explicit
+        // count must run on the larger of the two, not on the explicit
+        // count.
+        let cfgs = |threads: &[usize]| -> Vec<SynthConfig> {
+            threads
+                .iter()
+                .map(|&t| SynthConfig::new(2).with_threads(t))
+                .collect()
+        };
+        let cores = resolve_threads(0);
+        assert_eq!(sweep_threads(&cfgs(&[0, 1])), cores);
+        assert_eq!(sweep_threads(&cfgs(&[1, 0])), cores);
+        assert_eq!(sweep_threads(&cfgs(&[0, 3])), cores.max(3));
+        assert_eq!(sweep_threads(&cfgs(&[1, 2])), 2);
+        assert_eq!(sweep_threads(&[]), 1);
+    }
+
+    #[test]
     fn progress_elapsed_is_the_query_wall_time() {
         // A sweep's progress event carries the query's own wall time,
-        // which covers at least its workers' time (one thread: they run
-        // back to back inside it).
+        // which covers at least its workers' time (without cubes a query
+        // has one worker, and the query's window spans its run).
         use crate::symbolic::{ProgressEvent, ProgressSink};
         let events: Arc<std::sync::Mutex<Vec<ProgressEvent>>> = Arc::default();
         let sink = {
