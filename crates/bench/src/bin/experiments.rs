@@ -405,7 +405,9 @@ fn speedup(bound: usize, threads: usize) {
         sequential.stats.gc_runs,
         sequential.stats.gc_reclaimed_words,
     );
-    if deterministic && (3..=5).contains(&bound) {
+    // A fault plan may degrade exactly the queries that subsume, so the
+    // check holds only when every sequential worker finished.
+    if deterministic && sequential.stats.degraded == 0 && (3..=5).contains(&bound) {
         assert!(
             sequential.stats.subsumed + sequential.stats.strengthened > 0,
             "inprocessing must do visible work at bound {bound} \

@@ -17,7 +17,9 @@
 //!
 //! * the circuit is Tseitin-compiled **once** per query into a shared
 //!   clause arena (whichever worker arrives first pays, through a
-//!   `OnceLock`); every worker attaches a private solver to it,
+//!   `OnceLock`); every worker attaches a private solver to it and
+//!   asserts the query's minimality constraints there as level-0 facts,
+//!   leaving only the cube pins as assumptions,
 //! * workers trade learnt clauses over a bounded **exchange bus**
 //!   ([`SynthConfig::exchange`]), which prunes search but provably never
 //!   changes the enumerated class set, and
@@ -298,8 +300,7 @@ fn emit_progress(model_name: &str, axiom: &str, cfg: &SynthConfig, r: &SynthResu
 /// One (axiom, bound) query, compiled once and shared by its cube workers.
 struct Query {
     st: SymbolicTest,
-    /// The minimality asserts, without cube pins.
-    asserts: Vec<Bit>,
+    /// The compilation, with the minimality asserts as its attach facts.
     query: CompiledQuery,
     /// Full circuit→CNF compilations charged to this query: always 1,
     /// measured with the thread-local counter (the whole build runs on one
@@ -339,7 +340,6 @@ fn build_query<M: MemoryModel>(model: &M, cfg: &SynthConfig, axiom: &'static str
     let compilations = (litsynth_relalg::thread_compilations() - before) as usize;
     Query {
         st,
-        asserts,
         query,
         compilations,
     }
@@ -425,16 +425,21 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
         .get_or_init(|| build_query(model, cfg, task.axiom));
     let st = &query.st;
     let circuit = query.query.circuit();
-    let mut asserts = query.asserts.clone();
-    asserts.extend(query.query.cube_pins(task.cube, task.cube_bits));
+    // The minimality asserts are level-0 facts of the attached finder;
+    // only the cube pins are assumptions.
+    let pins = query.query.cube_pins(task.cube, task.cube_bits);
     let mut finder = query.query.attach();
-    // Attaching propagates the arena's unit clauses; that work belongs to
-    // the compilation, so the task's propagation count starts after it.
+    // Attaching propagates the arena's unit clauses and the facts; that
+    // work belongs to the query, so the task's propagation count starts
+    // after it.
     let attach_props = finder.solver_stats().propagations;
     finder.set_inprocessing(cfg.inprocess);
     finder.set_tiered_retention(cfg.tiered);
-    let root_bits: Vec<Bit> = asserts
+    let root_bits: Vec<Bit> = query
+        .query
+        .asserts()
         .iter()
+        .chain(&pins)
         .chain(&st.observables)
         .chain(st.kind.iter().flatten())
         .copied()
@@ -461,7 +466,7 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
     let mut truncated = false;
     let mut interrupted: Option<Interrupt> = None;
     loop {
-        match finder.next_instance_budgeted(circuit, &asserts, &mut exchange, &budget) {
+        match finder.next_instance_budgeted(circuit, &pins, &mut exchange, &budget) {
             Ok(Some(inst)) => {
                 raw += 1;
                 let (test, outcome) = st.extract(circuit, &inst);
@@ -500,7 +505,7 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
     let propagations = ss.propagations - attach_props;
     if std::env::var_os("LITSYNTH_TRACE").is_some() {
         eprintln!(
-            "trace {} cube {} attempt {}: wall {:?} probe {:?} raw {} conflicts {} props {} decs {} domdecs {} simp {} subs {} str {} gc {}/{}w tiers {}/{}/{}",
+            "trace {} cube {} attempt {}: wall {:?} probe {:?} raw {} conflicts {} learnt-lits {} props {} decs {} domdecs {} simp {} subs {} str {} gc {}/{}w tiers {}/{}/{}",
             task.query_key,
             task.cube,
             attempt,
@@ -508,6 +513,7 @@ fn enumerate_cube<M: MemoryModel>(model: &M, task: &Task, attempt: usize) -> Att
             query.query.probe_time(),
             raw,
             ss.conflicts,
+            ss.learnt_literals,
             propagations,
             ss.decisions,
             ss.domain_decisions,
@@ -1159,7 +1165,8 @@ mod tests {
     use crate::minimal::check_minimal;
     use litsynth_litmus::{AxiomSpec, DepKind, FenceKind, Instr, MemOrder};
     use litsynth_models::{ConcreteAlg, Ctx, Power, RelAlg, RelaxKind, Sc, Scc, Tso, C11};
-    use litsynth_relalg::CompiledCircuit;
+    use litsynth_relalg::{CompiledCircuit, Finder};
+    use std::collections::BTreeSet;
 
     #[test]
     fn tso_sc_per_loc_bound_2_finds_the_three_coherence_kernels() {
@@ -1815,6 +1822,45 @@ mod tests {
         check(&Power::armv7(), 3);
         check(&Scc::new(), 3);
         check(&C11::new(), 3);
+        check(&Tso::new(), 4);
+    }
+
+    #[test]
+    fn facts_enumerate_the_classes_assumptions_do() {
+        // Attached workers hold a query's minimality asserts as level-0
+        // facts. Passing the same asserts as assumptions on every solve
+        // (kept here only as the reference) must enumerate the same
+        // canonical classes: the suite keys of `synthesize_axiom`.
+        fn check<M: MemoryModel + Sync>(m: &M, n: usize) {
+            let cfg = SynthConfig::new(n).with_threads(1);
+            for &axiom in m.axioms() {
+                let q = build_query(m, &cfg, static_axiom(m, axiom));
+                let circuit = q.query.circuit();
+                let mut f = Finder::attach(q.query.compiled());
+                let mut canon = TwoTierCanon::new();
+                let mut keys = BTreeSet::new();
+                while let Some(inst) = f.next_instance(circuit, q.query.asserts()) {
+                    let (test, outcome) = q.st.extract(circuit, &inst);
+                    keys.insert(if cfg.exact_canon {
+                        canon.canonicalize(&test, &outcome).0
+                    } else {
+                        canonical_key_hash(&test, &outcome)
+                    });
+                    f.block(circuit, &inst, &q.st.observables);
+                }
+                let facts: BTreeSet<String> =
+                    synthesize_axiom(m, axiom, &cfg).tests.into_keys().collect();
+                assert_eq!(keys, facts, "{} {axiom} bound {n}", m.name());
+            }
+        }
+        for n in 2..=3 {
+            check(&Sc::new(), n);
+            check(&Tso::new(), n);
+            check(&Power::new(), n);
+            check(&Power::armv7(), n);
+            check(&Scc::new(), n);
+            check(&C11::new(), n);
+        }
         check(&Tso::new(), 4);
     }
 

@@ -18,14 +18,18 @@
 use litsynth_relalg::{Bit, Circuit, CompiledCircuit, Finder};
 use std::collections::HashSet;
 
-/// Ranks `candidates` as cube-pin bits for the query `asserts` over the
-/// compiled circuit, best pin first.
+/// Ranks `candidates` as cube-pin bits for the query whose asserts are
+/// `asserts` over the compiled circuit, best pin first.
 ///
 /// Constant bits and candidates sharing a CNF variable with an earlier one
 /// are dropped (pinning them would not split, or would split unevenly and
-/// unsoundly). With `probe_conflicts == 0` the surviving candidates keep
-/// their given order — the classic slot-0 rule; otherwise a probing solve
-/// ranks them by VSIDS activity (descending, ties by candidate order).
+/// unsoundly). Tseitin translation gives every non-constant circuit node
+/// exactly one variable, so two candidates share a variable exactly when
+/// they share a node, and the filter needs no solver. With
+/// `probe_conflicts == 0` the surviving candidates keep their given order
+/// — the classic slot-0 rule; otherwise a probing solve, on a finder
+/// holding `asserts` as level-0 facts, ranks them by VSIDS activity
+/// (descending, ties by candidate order).
 pub fn rank_pins(
     c: &Circuit,
     compiled: &CompiledCircuit,
@@ -33,28 +37,23 @@ pub fn rank_pins(
     candidates: &[Bit],
     probe_conflicts: u64,
 ) -> Vec<Bit> {
-    let mut f = Finder::attach(compiled);
-    let mut seen_vars: HashSet<usize> = HashSet::new();
-    let mut uniq: Vec<Bit> = Vec::with_capacity(candidates.len());
-    for &b in candidates {
-        if b == Circuit::TRUE || b == Circuit::FALSE {
-            continue;
-        }
-        let var = f.lit_of(c, b).var().index();
-        if seen_vars.insert(var) {
-            uniq.push(b);
-        }
-    }
+    // A bit and its complement are one node; `min` names it either way.
+    let mut seen_nodes: HashSet<Bit> = HashSet::new();
+    let uniq: Vec<Bit> = candidates
+        .iter()
+        .copied()
+        .filter(|&b| b != Circuit::TRUE && b != Circuit::FALSE && seen_nodes.insert(b.min(b.not())))
+        .collect();
     if probe_conflicts == 0 || uniq.len() <= 1 {
         return uniq;
     }
-    // Focus the probe on this query's cone. On a sweep-shared layer chain
-    // the compiled formula also carries other bounds' and axioms' layers;
-    // an unwarmed probe would burn its conflict budget deciding those dead
-    // variables in index order. Warming is a pure function of the query,
-    // so the ranking stays deterministic.
+    let mut f = Finder::attach(compiled);
+    f.assert_facts(c, asserts);
+    // Focus the probe on the cones of the asserts and the candidates
+    // rather than plain variable-index order. Warming is a pure function
+    // of the query, so the ranking stays deterministic.
     f.warm(c, asserts.iter().chain(&uniq).copied());
-    let _ = f.probe(c, asserts, probe_conflicts);
+    let _ = f.probe(probe_conflicts);
     let mut scored: Vec<(usize, Bit, f64)> = uniq
         .into_iter()
         .enumerate()

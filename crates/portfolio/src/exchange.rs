@@ -8,11 +8,16 @@
 //!
 //! # Why sharing clauses across cubes is sound
 //!
-//! All workers attach to one compiled formula F. A worker's clause database
-//! is F plus its blocking clauses, and every clause it learns is a
-//! resolvent of database clauses — cube pins enter the search as
-//! assumptions (decisions), never as axioms, so learnt clauses are implied
-//! by F ∧ (that worker's blocking clauses). Blocking clauses exclude
+//! All workers attach to one compiled formula F and assert the same query
+//! facts A (the query's asserts, unit clauses at level 0; see
+//! [`CompiledQuery::attach`](crate::CompiledQuery::attach)). A worker's
+//! clause database is F ∧ A plus its blocking clauses, and every clause it
+//! learns is a resolvent of database clauses — cube pins enter the search
+//! as assumptions (decisions), never as axioms, so learnt clauses are
+//! implied by F ∧ A ∧ (that worker's blocking clauses). A is shared by
+//! every cube of the query, so a learnt clause's dependence on it never
+//! excludes a model a peer may enumerate; only the pins, which differ
+//! between cubes, must stay assumptions. Blocking clauses exclude
 //! exactly the observable classes the worker already enumerated, and
 //! because cube pins are themselves *observed* bits, any model that remains
 //! to be found in a different cube differs from every blocked class on at

@@ -18,7 +18,8 @@
 //! * **Exchange learnt clauses** — cube workers publish learnt clauses
 //!   under an LBD/size filter to an [`ExchangeBus`] and import peers'
 //!   clauses at restart boundaries. Sharing across cubes is sound because
-//!   pins are assumptions and blocking clauses from one cube are satisfied
+//!   every cube holds the same query asserts as level-0 facts, pins are
+//!   assumptions, and blocking clauses from one cube are satisfied
 //!   by every model remaining in the others (see [`exchange`] for the full
 //!   argument) — so the exchange prunes search but can never change the
 //!   enumerated model set, keeping suites byte-identical to the sequential

@@ -29,11 +29,14 @@ impl Default for CubeConfig {
 /// `CompiledQuery` is `Sync`: workers share it behind an `Arc` (typically
 /// through a `OnceLock` so whichever worker arrives first pays the
 /// compilation) and each calls [`CompiledQuery::attach`] for a private
-/// solver loaded with a copy of the compiled clauses.
+/// solver loaded with a copy of the compiled clauses and the query's
+/// asserts as level-0 facts. Only cube pins are left for workers to pass
+/// as assumptions.
 #[derive(Debug)]
 pub struct CompiledQuery {
     circuit: Circuit,
     compiled: CompiledCircuit,
+    asserts: Vec<Bit>,
     pins: Vec<Bit>,
     probe: Duration,
 }
@@ -41,9 +44,10 @@ pub struct CompiledQuery {
 impl CompiledQuery {
     /// Compiles the query once and selects its cube pins.
     ///
-    /// `asserts` are the bits workers will assume, `observables` the bits
-    /// blocking clauses range over, and `candidates` the pinnable bits
-    /// (must be observed, or cubes would not partition the class space).
+    /// `asserts` are the bits every attached finder holds as facts,
+    /// `observables` the bits blocking clauses range over, and
+    /// `candidates` the pinnable bits (must be observed, or cubes would
+    /// not partition the class space).
     /// All three are compiled as roots so attached workers never extend
     /// the CNF beyond their private blocking clauses.
     pub fn build(
@@ -70,6 +74,7 @@ impl CompiledQuery {
         CompiledQuery {
             circuit,
             compiled,
+            asserts: asserts.to_vec(),
             pins,
             probe: probe_start.elapsed(),
         }
@@ -85,9 +90,18 @@ impl CompiledQuery {
         &self.compiled
     }
 
-    /// A fresh private finder, loaded with a copy of the compiled clauses.
+    /// The query's asserts, as given to [`CompiledQuery::build`].
+    pub fn asserts(&self) -> &[Bit] {
+        &self.asserts
+    }
+
+    /// A fresh private finder, loaded with a copy of the compiled clauses
+    /// and holding the query's asserts as level-0 facts
+    /// ([`Finder::assert_facts`]).
     pub fn attach(&self) -> Finder {
-        Finder::attach(&self.compiled)
+        let mut f = Finder::attach(&self.compiled);
+        f.assert_facts(&self.circuit, &self.asserts);
+        f
     }
 
     /// Number of distinct pinnable bits available for cube splitting.
@@ -148,11 +162,11 @@ mod tests {
         cube_bits: usize,
         exchange: &mut dyn litsynth_sat::ClauseExchange,
     ) -> Vec<Vec<bool>> {
+        assert_eq!(q.asserts(), [root]);
         let mut f = q.attach();
-        let mut asserts = vec![root];
-        asserts.extend(q.cube_pins(cube, cube_bits));
+        let pins = q.cube_pins(cube, cube_bits);
         let mut classes = Vec::new();
-        while let Some(inst) = f.next_instance_exchanging(q.circuit(), &asserts, exchange) {
+        while let Some(inst) = f.next_instance_exchanging(q.circuit(), &pins, exchange) {
             classes.push(inst.eval_many(q.circuit(), xs));
             f.block(q.circuit(), &inst, xs);
             assert!(classes.len() <= 32);

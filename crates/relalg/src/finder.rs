@@ -267,6 +267,27 @@ impl Finder {
         )
     }
 
+    /// Adds each of `facts` to the formula as a unit clause, fixed at
+    /// decision level 0 for the rest of this finder's life. Where
+    /// assertions passed to [`Finder::next_instance`] are re-established
+    /// as assumptions on every solve, a fact is propagated once, and the
+    /// solver's level-0 machinery (clause minimization, satisfied-clause
+    /// purging) can use it. Asserting the constant false makes every later
+    /// solve unsatisfiable.
+    pub fn assert_facts(&mut self, c: &Circuit, facts: &[Bit]) {
+        for &f in facts {
+            if f == Circuit::TRUE {
+                continue;
+            }
+            if f == Circuit::FALSE {
+                self.solver.add_clause([]);
+                return;
+            }
+            let l = self.lit_of(c, f);
+            self.solver.add_clause([l]);
+        }
+    }
+
     /// Finds the next instance satisfying all `asserts`, or `None`.
     ///
     /// The assertions are passed as solver assumptions, so they constrain
@@ -353,19 +374,17 @@ impl Finder {
         Some(assumptions)
     }
 
-    /// Runs a short, conflict-bounded probing solve under `asserts`.
+    /// Runs a short, conflict-bounded probing solve on the formula and the
+    /// facts asserted so far ([`Finder::assert_facts`]).
     ///
     /// Returns `Some(sat)` on a definitive answer, `None` when the budget
     /// ran out first. Either way the solver is left warm: its VSIDS
     /// activities ([`Finder::activity_of`]) reflect which variables drove
     /// the search, which is what adaptive cube selection ranks pin
     /// candidates by.
-    pub fn probe(&mut self, c: &Circuit, asserts: &[Bit], max_conflicts: u64) -> Option<bool> {
-        let Some(assumptions) = self.assumptions_for(c, asserts) else {
-            return Some(false);
-        };
+    pub fn probe(&mut self, max_conflicts: u64) -> Option<bool> {
         self.solver
-            .solve_limited(&assumptions, max_conflicts)
+            .solve_limited(&[], max_conflicts)
             .map(SolveResult::is_sat)
     }
 
@@ -469,6 +488,29 @@ mod tests {
         assert!(f.next_instance(&c, &[x]).is_some());
         assert!(f.next_instance(&c, &[x.not()]).is_some());
         assert!(f.next_instance(&c, &[x]).is_some());
+    }
+
+    #[test]
+    fn facts_hold_for_every_later_solve() {
+        // x ∨ y as a fact: 3 models over {x, y} with no assumptions at
+        // all, then asserting false leaves none.
+        let mut c = Circuit::new();
+        let x = c.input("x");
+        let y = c.input("y");
+        let root = c.or(x, y);
+        let mut f = Finder::new(&c);
+        f.assert_facts(&c, &[Circuit::TRUE, root]);
+        let mut n = 0;
+        while let Some(inst) = f.next_instance(&c, &[]) {
+            assert!(inst.eval(&c, root));
+            n += 1;
+            f.block(&c, &inst, &[x, y]);
+            assert!(n <= 3);
+        }
+        assert_eq!(n, 3);
+        let mut g = Finder::new(&c);
+        g.assert_facts(&c, &[Circuit::FALSE]);
+        assert!(g.next_instance(&c, &[]).is_none());
     }
 
     #[test]
@@ -730,7 +772,8 @@ mod tests {
         let compiled = CompiledCircuit::compile(&c, roots);
         let rank = |_: ()| {
             let mut f = Finder::attach(&compiled);
-            let _ = f.probe(&c, &[func, inj], 50);
+            f.assert_facts(&c, &[func, inj]);
+            let _ = f.probe(50);
             let mut scored: Vec<(usize, f64)> = obs
                 .iter()
                 .enumerate()

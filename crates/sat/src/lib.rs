@@ -11,7 +11,7 @@
 //!
 //! * two-watched-literal unit propagation over a literal-indexed
 //!   assignment,
-//! * first-UIP conflict analysis with clause minimization,
+//! * first-UIP conflict analysis with recursive clause minimization,
 //! * VSIDS variable activity with an indexed max-heap,
 //! * phase saving,
 //! * Luby-sequence restarts,

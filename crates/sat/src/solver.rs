@@ -37,6 +37,11 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Number of learnt clauses currently in the database.
     pub learnts: u64,
+    /// Literals over every clause learnt so far, counted after
+    /// minimization (a learnt unit counts 1). Every conflict above the
+    /// assumption levels learns one clause, so divided by `conflicts` this
+    /// is close to the average learnt-clause length.
+    pub learnt_literals: u64,
     /// Decisions served from the declared roots first (always ≤
     /// `decisions`; 0 unless roots-first branching is enabled).
     pub domain_decisions: u64,
@@ -831,8 +836,9 @@ impl Solver {
         lbd.max(1)
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first), the backtrack level, and the clause's LBD.
+    /// First-UIP conflict analysis with recursive clause minimization.
+    /// Returns the learnt clause (asserting literal first), the backtrack
+    /// level, and the clause's LBD.
     fn analyze(&mut self, confl: u32) -> (Vec<Lit>, usize, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for asserting lit
         let mut counter = 0usize;
@@ -894,23 +900,24 @@ impl Solver {
         }
         learnt[0] = !p.expect("1UIP exists");
 
-        // Basic clause minimization: drop literals implied by the rest.
+        // Recursive minimization: drop every literal the implication graph
+        // derives from the clause's other literals and level-0 facts.
+        let abstract_levels = learnt[1..]
+            .iter()
+            .fold(0u32, |acc, l| acc | self.abstract_level(l.var().index()));
+        let mut stack = Vec::new();
         let mut j = 1;
         for i in 1..learnt.len() {
             let l = learnt[i];
-            let keep = match self.reason[l.var().index()] {
-                None => true,
-                Some(r) => (0..self.ca.len(r)).any(|k| {
-                    let q = self.ca.lit(r, k);
-                    q != !l && !self.seen[q.var().index()] && self.level[q.var().index()] > 0
-                }),
-            };
-            if keep {
+            if self.reason[l.var().index()].is_none()
+                || !self.lit_redundant(l, abstract_levels, &mut to_clear, &mut stack)
+            {
                 learnt[j] = l;
                 j += 1;
             }
         }
         learnt.truncate(j);
+        self.stats.learnt_literals += learnt.len() as u64;
 
         // Backtrack level: highest level among the non-asserting literals.
         let bt = if learnt.len() == 1 {
@@ -944,6 +951,55 @@ impl Solver {
             self.seen[v] = false;
         }
         (learnt, bt, lbd)
+    }
+
+    /// One bit per decision level (modulo 32): a reason walk can only
+    /// succeed through levels the learnt clause already has a literal on,
+    /// so `lit_redundant` stops at once on any other level.
+    #[inline]
+    fn abstract_level(&self, v: usize) -> u32 {
+        1 << (self.level[v] & 31)
+    }
+
+    /// MiniSat's `litRedundant`: `true` when every path back from the
+    /// implied literal `p` through reason clauses ends at a `seen` literal
+    /// (one of the learnt clause's, or one proven redundant before) or at
+    /// a level-0 fact, so the clause without `p` is still a resolvent.
+    /// The walk is a DFS over reasons. Variables it proves redundant stay
+    /// `seen` (recorded in `to_clear`) and answer later queries in one
+    /// step; on failure the marks this call set are undone. `stack` is
+    /// scratch space, shared across the calls of one analysis.
+    fn lit_redundant(
+        &mut self,
+        p: Lit,
+        abstract_levels: u32,
+        to_clear: &mut Vec<usize>,
+        stack: &mut Vec<usize>,
+    ) -> bool {
+        let top = to_clear.len();
+        stack.clear();
+        stack.push(p.var().index());
+        while let Some(v) = stack.pop() {
+            let r = self.reason[v].expect("only implied literals are expanded");
+            for k in 0..self.ca.len(r) {
+                let u = self.ca.lit(r, k).var().index();
+                if u == v || self.seen[u] || self.level[u] == 0 {
+                    continue;
+                }
+                if self.reason[u].is_some() && self.abstract_level(u) & abstract_levels != 0 {
+                    self.seen[u] = true;
+                    stack.push(u);
+                    to_clear.push(u);
+                } else {
+                    for &w in &to_clear[top..] {
+                        self.seen[w] = false;
+                    }
+                    to_clear.truncate(top);
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
@@ -1791,6 +1847,114 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Records every exported clause and imports nothing.
+    #[derive(Default)]
+    struct Capture(Vec<Vec<Lit>>);
+
+    impl ClauseExchange for Capture {
+        fn export(&mut self, lits: &[Lit], _lbd: u32) {
+            self.0.push(lits.to_vec());
+        }
+        fn fetch(&mut self, _out: &mut Vec<(Vec<Lit>, u32)>) {}
+    }
+
+    /// Minimization may only drop literals the formula makes redundant:
+    /// on seeded random 3-SAT formulas, enumerated model by model under
+    /// random assumptions, every learnt clause (exported, or still in the
+    /// database) must hold in every model of the clauses added so far.
+    #[test]
+    fn minimized_learnt_clauses_are_implied_by_the_formula() {
+        let mut state = 0x1357_9BDF_2468_ACE0u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let mut checked = 0usize;
+        for round in 0..150 {
+            let n = 8 + (next() % 4) as usize; // 8..=11 vars
+            let m = 4 * n + (next() as usize % n);
+            let mut s = Solver::new();
+            let vs: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+            let mut clauses: Vec<Vec<Lit>> = Vec::new();
+            for _ in 0..m {
+                let c: Vec<Lit> = (0..3)
+                    .map(|_| Lit::new(vs[next() as usize % n], next() % 2 == 0))
+                    .collect();
+                s.add_clause(c.iter().copied());
+                clauses.push(c);
+            }
+            let holds = |c: &[Lit], a: u32| {
+                c.iter()
+                    .any(|l| (a >> l.var().index() & 1 == 1) == l.is_positive())
+            };
+            // The formula's models; blocking a model removes exactly it.
+            let mut models: Vec<u32> = (0..1u32 << n)
+                .filter(|&a| clauses.iter().all(|c| holds(c, a)))
+                .collect();
+            let assumptions: Vec<Lit> = (0..next() % 3)
+                .map(|_| Lit::new(vs[next() as usize % n], next() % 2 == 0))
+                .collect();
+            let mut cap = Capture::default();
+            loop {
+                let sat = s.solve_exchanging(&assumptions, &mut cap).is_sat();
+                let mut learnts = std::mem::take(&mut cap.0);
+                learnts.extend(s.learnt_refs.iter().map(|&c| s.ca.copy_lits(c)));
+                for c in &learnts {
+                    let bad = models.iter().find(|&&a| !holds(c, a));
+                    assert!(bad.is_none(), "round {round}: learnt {c:?} not implied");
+                    checked += 1;
+                }
+                if !sat {
+                    break;
+                }
+                let a: u32 = (0..n)
+                    .map(|i| u32::from(s.value(vs[i]) == Some(true)) << i)
+                    .sum();
+                models.retain(|&x| x != a);
+                s.add_clause((0..n).map(|i| Lit::new(vs[i], a >> i & 1 == 0)));
+            }
+        }
+        assert!(checked > 1000, "only {checked} learnt clauses checked");
+    }
+
+    /// The implication chain a → x → y at level 1, then b at level 2 with
+    /// (¬b ∨ ¬y ∨ z) and (¬b ∨ ¬a ∨ ¬z) in conflict. The first-UIP clause
+    /// is (¬b ∨ ¬a ∨ ¬y). A one-step check keeps ¬y: its reason (¬x ∨ y)
+    /// mentions x, which is neither in the clause nor fixed at level 0.
+    /// The recursive walk follows x back to a, which is in the clause, and
+    /// drops ¬y.
+    #[test]
+    fn recursive_minimization_drops_what_one_step_keeps() {
+        let mut s = Solver::new();
+        let [a, x, y, b, z] = [(); 5].map(|_| s.new_var());
+        s.add_clause([Lit::neg(a), Lit::pos(x)]);
+        s.add_clause([Lit::neg(x), Lit::pos(y)]);
+        s.add_clause([Lit::neg(b), Lit::neg(y), Lit::pos(z)]);
+        s.add_clause([Lit::neg(b), Lit::neg(a), Lit::neg(z)]);
+        let decide = |s: &mut Solver, l: Lit| {
+            s.trail_lim.push(s.trail.len());
+            s.unchecked_enqueue(l, None);
+            s.propagate()
+        };
+        assert!(decide(&mut s, Lit::pos(a)).is_none());
+        let confl = decide(&mut s, Lit::pos(b)).expect("b conflicts at level 2");
+        // The one-step rule's view of ¬y: a reason literal outside the
+        // clause, above level 0.
+        let ry = s.reason[y.index()].expect("y is implied");
+        let ry_lits = s.ca.copy_lits(ry);
+        assert!(ry_lits.contains(&Lit::neg(x)));
+        assert_eq!(s.level[x.index()], 1);
+        let one_step_len = 3; // ¬b, ¬a, ¬y
+        let (learnt, bt, lbd) = s.analyze(confl);
+        assert_eq!(learnt, vec![Lit::neg(b), Lit::neg(a)]);
+        assert!(learnt.len() < one_step_len);
+        assert_eq!((bt, lbd), (1, 2));
+        assert!(s.seen.iter().all(|&m| !m), "analysis leaves no marks");
+        assert_eq!(s.stats.learnt_literals, 2);
     }
 }
 
